@@ -1,13 +1,12 @@
 """Campaign throughput benchmarks: fleet scheduling across workers.
 
 A campaign over a fleet of distinct dies is embarrassingly parallel —
-every cell rebuilds its own chip and seeds its own RNGs — so pulling
-cells through the service's work-stealing scheduler should scale with
-cores.  The sequential fleet benchmark feeds the BENCH trajectory on
-any machine; the speedup ratios (>= 2x with 4 workers on a balanced
-4-chip fleet; work-stealing >= 1.5x static sharding on an imbalanced
-fleet with one dominant cell) are guarded wherever enough cores exist
-to demonstrate parallelism at all.
+every cell rebuilds its own chip and seeds its own RNGs — so sharding
+cells over the service's worker fleet should scale with cores.  The
+sequential fleet benchmark feeds the BENCH trajectory on any machine;
+the speedup ratios (>= 2x with 4 workers on a balanced 4-chip fleet;
+>= 1.8x from shattering one dominant cell into sub-tasks) are guarded
+wherever enough cores exist to demonstrate parallelism at all.
 """
 
 import time
@@ -108,56 +107,6 @@ def test_campaign_sharding_speedup(benchmark):
     assert speedup >= 2.0, (
         f"4-worker campaign {par:.2f} cells/s vs sequential {seq:.2f} "
         f"cells/s ({speedup:.1f}x < 2x)"
-    )
-
-
-@pytest.mark.skipif(
-    usable_cpus() < 4,
-    reason="needs >= 4 usable CPUs to demonstrate the scheduling speedup",
-)
-def test_imbalanced_fleet_work_stealing_beats_static_sharding(benchmark):
-    """The scheduler acceptance ratio: work-stealing >= 1.5x static
-    sharding on an imbalanced fleet with one dominant cell.
-
-    The cell list is 13 oracle cells: one dominant cell whose budget is
-    several times everyone else's, then 12 small cells.  Static
-    contiguous sharding over 4 workers pins 3 small cells behind the
-    dominant one in its shard (T ~ dominant + 3 small) while the other
-    shards go idle; the work-stealing queue gives the dominant cell a
-    worker of its own and lets the rest drain the small cells
-    (T ~ max(dominant, 4 small)).  Reports are asserted identical
-    between the modes, so the ratio compares bit-equal work.
-    """
-    base = ThreatScenario(budget=24, n_fft=4096, seed=11)
-    dominant = CampaignCell(
-        "brute-force", base.with_(chip=ChipSpec(chip_id=0), budget=96)
-    )
-    small = [
-        CampaignCell(
-            "brute-force", base.with_(chip=ChipSpec(chip_id=1 + i % 3), seed=i)
-        )
-        for i in range(12)
-    ]
-    cells = [dominant] + small
-    reference = run_campaign(cells).reports  # also warms the kernel
-
-    def wall(scheduler: str) -> float:
-        start = time.perf_counter()
-        result = run_campaign(cells, n_workers=4, scheduler=scheduler)
-        elapsed = time.perf_counter() - start
-        assert result.reports == reference
-        return elapsed
-
-    static = min(wall("static") for _ in range(3))
-    stealing = min(wall("stealing") for _ in range(3))
-    speedup = static / stealing
-    benchmark.extra_info["static_seconds"] = round(static, 3)
-    benchmark.extra_info["stealing_seconds"] = round(stealing, 3)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark(lambda: None)  # ratio computed above; keep the harness happy
-    assert speedup >= 1.5, (
-        f"work-stealing {stealing:.2f} s vs static sharding {static:.2f} s "
-        f"on the imbalanced fleet ({speedup:.2f}x < 1.5x)"
     )
 
 

@@ -5,12 +5,12 @@ parameters + :class:`~repro.campaigns.scenario.ThreatScenario`),
 executes each and returns the reports in cell order.  Cells are
 independent by construction — every cell rebuilds its chip from the
 scenario's :class:`ChipSpec` and seeds its own RNGs — so with
-``n_workers > 1`` they become tasks on the foundry service's
-work-stealing scheduler (:mod:`repro.service`): workers pull cells off
-a shared queue as they free up, die calibrations run as first-class
-tasks that unblock their gated attack cells the moment they land, and
+``n_workers > 1`` they become tasks on a supervised worker fleet of the
+foundry service (:mod:`repro.service`): workers take cells from one
+ready pool as they free up, die calibrations run as first-class tasks
+that unblock their gated attack cells the moment they land, and
 reports come back deterministic and bit-identical to a sequential run
-whatever the worker count, backend or scheduler mode.
+whatever the worker count or backend.
 
 Workers share one cross-process
 :class:`~repro.engine.store.CalibrationStore`; each (lot, die,
@@ -280,7 +280,6 @@ def run_campaign(
     json_path: str | None = None,
     calibration_store: str | None = None,
     journal: str | None = None,
-    scheduler: str | None = None,
 ) -> CampaignResult:
     """Execute every cell; reports come back in cell order.
 
@@ -291,8 +290,8 @@ def run_campaign(
 
     Args:
         cells: Independent campaign cells (see :func:`expand_matrix`).
-        n_workers: 1 runs in-process; more pulls cells through the
-            work-stealing scheduler across worker processes (one
+        n_workers: 1 runs in-process; more shards cells over a
+            supervised worker fleet private to the campaign (one
             private engine per worker).  None resolves
             ``REPRO_SERVICE_WORKERS`` (default 1).  Reports are
             bit-identical whatever the count; non-positive counts are
@@ -312,9 +311,6 @@ def run_campaign(
             persist there as they finish, so re-running the identical
             campaign after a kill resumes from the finished cells and
             reproduces the uninterrupted run's reports bit-identically.
-        scheduler: ``"stealing"`` (default) or ``"static"`` (contiguous
-            pre-assigned shards — the naive baseline the
-            imbalanced-fleet benchmark guards against).
 
     Sharded runs schedule the unique (lot, die, standard) calibrations
     the attack adapters declare as first-class tasks ahead of the cells
@@ -332,7 +328,6 @@ def run_campaign(
             backend=backend,
             calibration_store=calibration_store,
             journal=journal,
-            scheduler=scheduler,
         )
     )
     result = handle.result()

@@ -7,9 +7,9 @@ their execution loop; this package gives them one.  A
 ``submit(job) -> JobHandle`` API:
 
 * :class:`~repro.service.jobs.CampaignJob` — an attack campaign's cell
-  list, executed behind a **work-stealing scheduler**
-  (:mod:`repro.service.scheduler`): cells are tasks on a shared queue
-  that workers pull as they free up, die calibrations are first-class
+  list, sharded over a **supervised worker fleet**
+  (:mod:`repro.service.scheduler`): cells are tasks in one ready pool
+  that workers take as they free up, die calibrations are first-class
   tasks that unblock their gated attack cells the moment they land —
   early-calibrated dies attack while stragglers are still calibrating
   — and imbalanced fleets pack tightly instead of idling behind a
@@ -27,16 +27,16 @@ cleanly (``cancel()``).  Completed cells journal into an on-disk
 campaign resumes from its finished cells bit-identically.
 
 Reports are bit-identical to sequential execution across worker
-counts, backends and scheduler modes — cells rebuild their chips and
+counts and backends — cells rebuild their chips and
 seed their own RNGs, and calibrations are deterministic values read
 through the shared :class:`~repro.engine.store.CalibrationStore` —
 held differentially in ``tests/test_service.py``.
 :func:`~repro.campaigns.campaign.run_campaign`, the experiment runner
 and the example studies are thin clients of this service.
 
-Execution is **self-healing**: supervised workers (the stealing
-scheduler and the daemon fleet) that die or hang mid-task are
-respawned and their task retried up to ``REPRO_TASK_RETRIES`` attempts
+Execution is **self-healing**: fleet workers (a sharded job's own
+fleet and the daemon's persistent one alike) that die or hang mid-task
+are respawned and their task retried up to ``REPRO_TASK_RETRIES`` attempts
 (a hung worker is reclaimed after ``REPRO_TASK_TIMEOUT`` seconds of
 heartbeat silence), with reports byte-identical across any crash
 schedule — held under the deterministic fault-injection plans of
@@ -51,7 +51,6 @@ from repro.service.jobs import (
     JobStatus,
     JournalMismatch,
     ProvisioningJob,
-    SCHEDULERS,
     SERVICE_WORKERS_ENV,
     TASK_RETRIES_ENV,
     TASK_TIMEOUT_ENV,
@@ -63,6 +62,7 @@ from repro.service.jobs import (
     validate_worker_count,
 )
 from repro.service.journal import JobJournal, cells_fingerprint
+from repro.service.scheduler import WorkerFleet
 from repro.service.service import FoundryService, JobHandle
 from repro.service.protocol import SERVICE_SOCKET_ENV, SERVICE_TENANT_ENV
 from repro.service.tenants import (
@@ -72,8 +72,8 @@ from repro.service.tenants import (
     TokenBucket,
     parse_tenant_spec,
 )
-from repro.service.client import DaemonClient, RemoteJobHandle
-from repro.service.daemon import DaemonUnavailable, FoundryDaemon, WorkerFleet
+from repro.service.client import DaemonClient, JobInterrupted, RemoteJobHandle
+from repro.service.daemon import DaemonUnavailable, FoundryDaemon
 from repro.service.gateway import (
     BackendDown,
     FoundryGateway,
@@ -96,13 +96,13 @@ __all__ = [
     "JobCancelled",
     "JobFailed",
     "JobHandle",
+    "JobInterrupted",
     "JobJournal",
     "JobStatus",
     "JournalMismatch",
     "ProvisioningJob",
     "RateLimited",
     "RemoteJobHandle",
-    "SCHEDULERS",
     "SERVICE_SOCKET_ENV",
     "SERVICE_TENANT_ENV",
     "SERVICE_WORKERS_ENV",

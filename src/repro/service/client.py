@@ -65,6 +65,12 @@ class DaemonUnavailableError(ConnectionError):
     """The daemon refused the request or went away."""
 
 
+class JobInterrupted(DaemonUnavailableError):
+    """The job's stream ended because its daemon drained or stopped,
+    not because the job did: it is resumable, and resubmitting it to a
+    daemon restarted on the same root continues from its journal."""
+
+
 def _raise_for(reply: dict):
     """Map an error frame to the in-process handle's exception types."""
     kind = reply.get("kind", "")
@@ -255,7 +261,9 @@ class RemoteJobHandle:
         complete — the in-process handle's buffer-replay contract over
         the wire: the full log replays from the beginning, then live
         events follow; ends on completion or cancellation, raises
-        :class:`JobFailed` after the delivered events on failure.
+        :class:`JobFailed` after the delivered events on failure, and
+        :class:`JobInterrupted` when a daemon drain or shutdown left the
+        job resumable.
 
         A mid-stream socket drop reconnects with backoff and resumes
         from the events already delivered (the daemon replays its
@@ -293,15 +301,21 @@ class RemoteJobHandle:
                             reconnects_left = STREAM_RECONNECTS  # progress
                             continue
                         end = frame["end"]
+                        if live and end.get("resumable"):
+                            raise JobInterrupted(
+                                f"job {self.job_id} interrupted by a daemon "
+                                f"drain or shutdown; resubmit it to resume"
+                            )
                         if live and end["status"] == JobStatus.FAILED.value:
                             raise JobFailed(end.get("error") or "job failed")
                         return
                 finally:
                     if sock is not None:
                         sock.close()
-            except TimeoutError:
-                # The daemon's own Timeout answer (an OSError subclass
-                # since 3.10) is a verdict, not a torn stream.
+            except (TimeoutError, JobInterrupted):
+                # The daemon's own Timeout answer and an interrupted
+                # job's end frame (OSError subclasses both) are
+                # verdicts, not a torn stream: never reconnect on them.
                 raise
             except (ProtocolError, OSError) as exc:
                 # A torn stream — daemon restart, dropped or truncated

@@ -30,7 +30,6 @@ Job schema (``POST /v1/jobs`` body)::
             "seed": 0, "measurement_seed": 0}}],
        "n_workers": 2,              # optional
        "backend": "reference",      # optional engine backend
-       "scheduler": "stealing",     # optional
        # experiment jobs instead take:
        "names": ["fig4"],           # optional registry filter
        "full": false}}              # optional
@@ -60,7 +59,6 @@ from repro.service.jobs import (
     JobCancelled,
     JobFailed,
     JournalMismatch,
-    SCHEDULERS,
     validate_worker_count,
 )
 from repro.service.protocol import (
@@ -220,9 +218,7 @@ def job_from_json(payload):
     from repro.campaigns import ATTACKS
     from repro.campaigns.campaign import CampaignCell
 
-    unknown = set(payload) - {
-        "type", "cells", "n_workers", "backend", "scheduler",
-    }
+    unknown = set(payload) - {"type", "cells", "n_workers", "backend"}
     _require(
         not unknown, f"campaign job has unknown field(s) {sorted(unknown)}"
     )
@@ -259,16 +255,7 @@ def job_from_json(payload):
             validate_worker_count(n_workers, "job.n_workers")
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
-    scheduler = payload.get("scheduler")
-    _require(
-        scheduler is None or scheduler in SCHEDULERS,
-        f"job.scheduler must be one of {SCHEDULERS} or omitted, "
-        f"got {scheduler!r}",
-    )
-    job = CampaignJob(
-        cells=tuple(cells), n_workers=n_workers, backend=backend,
-        scheduler=scheduler,
-    )
+    job = CampaignJob(cells=tuple(cells), n_workers=n_workers, backend=backend)
     job.validate()
     return job
 

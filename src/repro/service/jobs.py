@@ -5,14 +5,15 @@ work — a whole attack campaign (:class:`CampaignJob`), a fleet
 provisioning pass (:class:`ProvisioningJob`) or a run of registered
 experiments (:class:`ExperimentJob`).  Jobs carry no behaviour: the
 :class:`~repro.service.service.FoundryService` validates them up front
-at ``submit`` time and executes them through the scheduler, emitting
-one :class:`TaskEvent` per completed task and moving the handle
-through the :class:`JobStatus` lifecycle
-(``PENDING -> RUNNING -> COMPLETED`` / ``FAILED`` / ``CANCELLED``).
+at ``submit`` time and executes them (in-process, or sharded over a
+supervised worker fleet), emitting one :class:`TaskEvent` per
+completed task and moving the handle through the :class:`JobStatus`
+lifecycle (``PENDING -> RUNNING -> COMPLETED`` / ``FAILED`` /
+``CANCELLED``).
 
 Cells whose attack adapter declares a partition plan
 (:meth:`~repro.campaigns.attacks.Attack.partition`) are shattered into
-scheduler-internal sub-tasks; those never surface here.  A partitioned
+fleet-internal sub-tasks; those never surface here.  A partitioned
 cell still emits exactly one ``"cell"`` :class:`TaskEvent` — fired when
 the parent's sequential-replay assembly completes — with a payload
 bit-identical to the unpartitioned cell's, so streaming consumers and
@@ -53,10 +54,6 @@ DEFAULT_TASK_RETRIES = 3
 #: a genuinely frozen process does.
 TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
 
-#: The scheduler modes a campaign job may request.
-SCHEDULERS = ("stealing", "static")
-
-
 class JobStatus(enum.Enum):
     """Lifecycle of a submitted job."""
 
@@ -75,9 +72,9 @@ class TaskRetriesExhausted(JobFailed):
     """One task consumed its whole attempt budget (worker deaths,
     hung-worker reclaims) without completing.
 
-    A single worker death no longer fails a job — the scheduler
-    respawns the worker and requeues the task — so reaching this
-    exception means *every* attempt was lost to infrastructure.  The
+    A single worker death no longer fails a job — the fleet respawns
+    the worker and retries the task — so reaching this exception
+    means *every* attempt was lost to infrastructure.  The
     per-attempt failure descriptions ride along so the operator can see
     whether the attempts died the same way (a task that reliably OOMs
     its worker) or differently (a flaky host).
@@ -221,11 +218,6 @@ class CampaignJob:
             job resumes from the finished cells bit-identically; a
             journal written by a *different* cell list is rejected with
             :class:`JournalMismatch`.
-        scheduler: ``"stealing"`` (shared task queue, workers pull as
-            they free up — the default) or ``"static"`` (contiguous
-            pre-assigned shards; the naive baseline the imbalanced-fleet
-            benchmark guards against).  None inherits the service's
-            default.
     """
 
     cells: tuple = ()
@@ -233,14 +225,9 @@ class CampaignJob:
     backend: str | None = None
     calibration_store: str | None = None
     journal: str | None = None
-    scheduler: str | None = None
 
     def validate(self) -> None:
         """Reject malformed jobs up front, before any work happens."""
-        if self.scheduler is not None and self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; known: {SCHEDULERS}"
-            )
         if self.n_workers is not None:
             validate_worker_count(self.n_workers)
 
@@ -252,8 +239,8 @@ class ProvisioningJob:
 
     With one worker the pass runs as a single parent-side lockstep
     :func:`~repro.campaigns.campaign.provision_fleet` batch; with more,
-    each missing triple becomes a first-class task on the scheduler's
-    shared queue.
+    each missing triple becomes a task on a supervised worker fleet
+    private to the job.
     """
 
     triples: tuple = ()

@@ -1,25 +1,32 @@
-"""Work-stealing task scheduler with worker supervision.
+"""Supervised worker fleet and the gating loop every sharded job runs on.
 
-The campaign layer's original sharding mapped whole cells over a
-process pool — a static split that leaves workers idle whenever one
-die's attack dominates the wall clock, and serialises provisioning
-ahead of the whole attack phase.  This scheduler replaces that with a
-work-conserving pull model: every unit of work (a die calibration, an
-attack cell) is a task in one shared ready pool, the next task goes to
-whichever worker frees up first, and attack cells that need a die's
-calibration are *gated* — released the instant their die's
-provisioning task completes, while straggler dies are still
-calibrating on other workers.  Imbalanced fleets therefore pack
-tightly (the dominant cell occupies one worker while the others drain
-the rest), and provisioning overlaps the attack phase instead of
+Every unit of sharded work (a die calibration, an attack cell, a
+partitioned cell's sub-task, an experiment) is a task in one ready
+pool, the next task goes to whichever worker frees up first, and
+attack cells that need a die's calibration are *gated* — released the
+instant their die's provisioning task completes, while straggler dies
+are still calibrating on other workers.  Imbalanced fleets therefore
+pack tightly (the dominant cell occupies one worker while the others
+drain the rest), and provisioning overlaps the attack phase instead of
 preceding it.
 
+Two pieces, one of each:
+
+* :class:`WorkerFleet` — a supervised worker team whose router thread
+  is the only dispatch/sweep loop.  An in-process sharded job runs on
+  a fleet private to the job (forked before its router thread starts,
+  reaped when the job ends); the daemon keeps one persistent fleet
+  that every admitted job shares.
+* :func:`run_on_fleet` — the only gating loop: it feeds one job's
+  tasks to a fleet, gates cells on their provisioning triples, and
+  absorbs/assembles partitioned cells.
+
 Supervision: each worker is connected to the parent by its own duplex
-pipe, so the parent always knows exactly which task each worker holds
+pipe, so the router always knows exactly which task each worker holds
 — a dead worker (exit code) or a hung one (its heartbeat thread silent
 for ``REPRO_TASK_TIMEOUT`` seconds) is killed, respawned, and its task
-requeued, and the job only fails once one task has consumed the whole
-``REPRO_TASK_RETRIES`` attempt budget
+retried *on the respawned worker*; a job fails only once one of its
+tasks has consumed the whole ``REPRO_TASK_RETRIES`` attempt budget
 (:class:`~repro.service.jobs.TaskRetriesExhausted`, carrying the
 per-attempt failure notes).  Per-worker pipes are what make this
 airtight: assignment is parent-side state (no pickup-message race to
@@ -53,18 +60,13 @@ every oracle/tenant charge committed in replay order), so the report,
 bit-identical to the unpartitioned cell across partition sizes, worker
 counts and backends.  Sub-task completions are internal — only
 provision and cell (assembly) results are yielded.
-
-The ``static`` mode pre-assigns contiguous cell shards per worker
-(what naive sharding would do) and exists as the baseline the
-imbalanced-fleet benchmark in ``benchmarks/test_bench_campaign.py``
-guards the work-stealing speedup against; it keeps the original
-unsupervised team (a dead worker fails the job), which is part of what
-the baseline measures against.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
+import os
 import queue as queue_module
 import threading
 import time
@@ -78,6 +80,7 @@ from repro.service.jobs import (
     TaskRetriesExhausted,
     task_retry_budget,
     task_timeout_seconds,
+    validate_worker_count,
 )
 
 #: Seconds between worker-liveness checks while awaiting results.
@@ -180,49 +183,38 @@ class AssembleTask(CellTask):
         return self.cell.execute_scripted(self.script)
 
 
-def _worker_loop(tasks, task_queue, result_queue, backend, store_path) -> None:
-    """One worker process: pull tasks until the sentinel (stealing mode,
-    ``task_queue``) or the pre-assigned shard runs dry (static mode,
-    ``tasks``), reporting each outcome on ``result_queue``.
+@dataclass(frozen=True)
+class TaskContext:
+    """Everything a fleet worker must (re-)initialise to run a task:
+    the job's backend and shared store (the campaign layer's
+    ``_worker_init`` arguments) plus the tenant's meter, which only
+    daemon jobs carry.  Workers re-init only when the context changes
+    hands, so consecutive tasks of one job pay it once."""
 
-    Worker initialisation matches the campaign layer exactly — a
-    pristine private engine of the requested backend, reading through
-    the campaign's shared calibration store — so reports cannot depend
-    on which worker ran a cell.
-    """
-    from repro.campaigns.campaign import _worker_init
+    backend: str | None = None
+    store_path: str | None = None
+    tenant: str = "default"
+    meter_path: str | None = None
+    max_queries: int | None = None
+    max_queries_per_minute: float | None = None
 
-    _worker_init(backend, store_path)
-    shard = list(tasks or [])
-    while True:
-        if task_queue is not None:
-            task = task_queue.get()
-        else:
-            task = shard.pop(0) if shard else None
-        if task is None:
-            return
-        start = time.perf_counter()
-        try:
-            payload = task.run()
-        except BaseException:
-            result_queue.put(
-                ("error", task, None, time.perf_counter() - start,
-                 traceback.format_exc())
-            )
-            continue
-        result_queue.put(
-            ("done", task, payload, time.perf_counter() - start, None)
+    def meter(self):
+        """The tenant meter this context charges, or None (parent and
+        worker build their own views of the same file-backed count)."""
+        if self.meter_path is None:
+            return None
+        from repro.service.tenants import TenantMeter
+
+        return TenantMeter(
+            self.meter_path,
+            self.max_queries,
+            tenant=self.tenant,
+            max_per_minute=self.max_queries_per_minute,
         )
 
 
-def _context():
-    return multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    )
-
-
 # ---------------------------------------------------------------------------
-# Supervised workers (the stealing scheduler and the daemon fleet)
+# The worker side
 # ---------------------------------------------------------------------------
 
 
@@ -262,7 +254,7 @@ def run_task(task):
     process instead of running (nothing mutated — the watchdog must
     reclaim), ``task.crash_before_report`` kills the process after the
     task ran but before its result message exists (the supervisor must
-    requeue), ``task.stall_heartbeat`` silences the heartbeat and delays
+    retry), ``task.stall_heartbeat`` silences the heartbeat and delays
     the task past the watchdog while staying alive (the *late result*
     schedule the supervisor's kill-before-drain ordering exists for).
     Returns a ``(kind, task, payload, seconds, error)`` result tuple."""
@@ -283,26 +275,53 @@ def run_task(task):
     return ("done", task, payload, time.perf_counter() - start, None)
 
 
-def _supervised_worker_main(conn, heartbeat, backend, store_path) -> None:
-    """One supervised worker: receive tasks on its private duplex pipe,
-    send one result tuple back per task, exit on the None sentinel (or
-    the parent's end of the pipe closing).  Initialisation matches the
-    campaign layer exactly, so reports cannot depend on which worker —
-    or which *attempt* — ran a cell."""
+def _fleet_worker_main(conn, heartbeat) -> None:
+    """One fleet worker: receive ``(ticket, context, task, task_id)``
+    items on its private duplex pipe until the sentinel (or the
+    parent's end of the pipe closing), re-initialising on context
+    changes.
+
+    Initialisation is the campaign layer's ``_worker_init`` (a pristine
+    private engine of the job's backend, reading through the job's
+    shared calibration store) plus the tenant meter install, so reports
+    cannot depend on which worker — or which *attempt*, or whose fleet
+    — ran a task.  Before a metered task runs, its charge reservation
+    opens under ``task_id`` (see
+    :meth:`~repro.service.tenants.TenantMeter.begin_task`); the
+    *parent* settles it — commit on the result, rollback before a
+    retry — because the parent is the only survivor of every crash
+    schedule.
+    """
+    from repro.attacks.oracle import install_tenant_meter
     from repro.campaigns.campaign import _worker_init
 
-    _worker_init(backend, store_path)
     start_heartbeat(heartbeat)
+    current = None
+    meter = None
     while True:
         try:
-            task = conn.recv()
+            item = conn.recv()
         except (EOFError, OSError):
             return
-        if task is None:
+        if item is None:
             return
-        conn.send(run_task(task))
+        ticket, context, task, task_id = item
+        if context != current:
+            _worker_init(context.backend, context.store_path)
+            meter = context.meter()
+            install_tenant_meter(meter)
+            current = context
+        if meter is not None:
+            meter.begin_task(task_id)
+        kind, task, payload, seconds, error = run_task(task)
+        conn.send((ticket, kind, task, payload, seconds, error))
         if faults.ENABLED and faults.fire("worker.torn_conn"):
             faults.tear_connection(conn)
+
+
+# ---------------------------------------------------------------------------
+# The parent side: slots and the fleet
+# ---------------------------------------------------------------------------
 
 
 class WorkerSlot:
@@ -314,11 +333,11 @@ class WorkerSlot:
         self.proc = proc
         self.conn = conn
         self.heartbeat = heartbeat
-        self.item = None  # the dispatched work, parent-defined shape
+        self.item = None  # the dispatched _FleetItem
         # Set when a send to this worker failed: the process may still
         # be alive with a beating heartbeat, but its pipe is torn, so
         # the supervision sweep must reap it — an idle-looking slot that
-        # can never be dispatched to would otherwise livelock the round.
+        # can never be dispatched to would otherwise livelock the fleet.
         self.broken = False
 
     def stale(self, timeout: float | None) -> bool:
@@ -337,26 +356,13 @@ class WorkerSlot:
             pass
 
 
-def spawn_worker(ctx, target, args) -> WorkerSlot:
-    """Fork one supervised worker connected by a fresh duplex pipe.
-    ``target`` receives ``(child_conn, heartbeat, *args)``."""
-    parent_conn, child_conn = ctx.Pipe()
-    heartbeat = ctx.Value("d", time.monotonic(), lock=False)
-    proc = ctx.Process(
-        target=target, args=(child_conn, heartbeat) + tuple(args), daemon=True
-    )
-    proc.start()
-    child_conn.close()  # ours alone now lives in the child
-    return WorkerSlot(proc, parent_conn, heartbeat)
-
-
 def kill_slot(slot: WorkerSlot, note_kill: str | None) -> str:
     """Kill (when ``note_kill`` names a reason and the process is still
     alive) and join one worker, WITHOUT closing the parent's end of its
     pipe: the supervisor drains any result the worker managed to send
     *after* this, then closes.  Draining before the kill is the race —
     a hung-but-alive worker can emit its result between the drain and
-    the kill, and the drained-empty supervisor would requeue and run the
+    the kill, and the drained-empty supervisor would retry and run the
     task twice.  Killing first makes the post-kill drain complete: a
     dead process cannot send.  Returns the per-attempt note: the kill
     reason when this call did the killing, but the worker's own exit
@@ -375,107 +381,357 @@ def kill_slot(slot: WorkerSlot, note_kill: str | None) -> str:
     return f"worker died with exit code {exitcode}"
 
 
-def reap_slot(slot: WorkerSlot, note_hung: str | None) -> str:
-    """:func:`kill_slot` plus closing the parent's pipe end — for
-    callers with nothing left to drain."""
-    note = kill_slot(slot, note_hung)
-    slot.close()
-    return note
+class _FleetItem:
+    """One unit of fleet work in flight: the submitting job's ticket,
+    the worker context, the task, and the id its charge reservation
+    and retry accounting live under."""
+
+    __slots__ = ("ticket", "context", "task", "task_id")
+
+    def __init__(self, ticket: int, context: TaskContext, task):
+        self.ticket = ticket
+        self.context = context
+        self.task = task
+        self.task_id = f"{ticket}:{task.key()!r}"
 
 
-def wait_readable(slots, timeout: float):
-    """The slots whose pipes are readable (a result, or EOF from a
-    death) within ``timeout`` seconds."""
-    from multiprocessing import connection
+class WorkerFleet:
+    """A supervised, self-healing worker team — private to one
+    in-process job, or the daemon's one persistent fleet.
 
-    by_conn = {slot.conn: slot for slot in slots}
-    try:
-        readable = connection.wait(list(by_conn), timeout=timeout)
-    except OSError:  # a pipe torn down mid-wait: the sweep will see it
-        return []
-    return [by_conn[conn] for conn in readable]
+    The fleet forks its workers in :meth:`start`, *before* its router
+    thread exists, and serves tasks from any number of jobs out of one
+    ready pool.  Each job opens a *ticket*: a registered mailbox the
+    router thread delivers that job's results to.  Results for a closed
+    ticket (a cancelled job's stragglers) are dropped — at most the
+    job's in-flight bound of tasks runs wastefully, and every store
+    write they made stays valid (deterministic values).
 
+    Supervision: every worker hangs off its own duplex pipe, so the
+    router — which also dispatches and supervises, one thread owning
+    all slot state — knows exactly which item each worker holds.  A
+    dead worker (exit code) or a hung one (heartbeat silent past
+    ``REPRO_TASK_TIMEOUT``) is reaped and respawned, its item's tenant
+    charges are rolled back from the reservation journal, and the item
+    is retried on the respawned worker; only when one task has consumed
+    the whole ``REPRO_TASK_RETRIES`` budget does its *own* job fail (an
+    ``"exhausted"`` mailbox message -> :class:`~repro.service.jobs.
+    TaskRetriesExhausted`) — every other job keeps running.  Respawned
+    workers fork from the router thread (the same trade
+    ``multiprocessing.Pool`` makes); only the initial team needs the
+    single-threaded fork window.
+    """
 
-def _collect(workers, result_queue, n_pending):
-    """Yield ``(task, payload, seconds)`` for every pending task,
-    failing the job if a worker dies or a task raises."""
-    while n_pending:
-        try:
-            kind, task, payload, seconds, error = result_queue.get(
-                timeout=POLL_SECONDS
+    def __init__(self, n_workers: int):
+        validate_worker_count(n_workers, "fleet n_workers")
+        self.n_workers = n_workers
+        self._mp = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
+        self.slots: list = []
+        self._ready: deque = deque()
+        self._attempts: dict[str, list] = {}
+        self._mailboxes: dict[int, queue_module.Queue] = {}
+        self._tickets = itertools.count(1)
+        self._lock = threading.Lock()
+        self._stop_event = threading.Event()
+        self._router = None
+        self._wake_r = self._wake_w = None
+        self._failure: str | None = None
+        self._retry_budget = task_retry_budget()
+        self._watchdog = task_timeout_seconds()
+        self._barren_respawns = 0
+
+    @property
+    def workers(self) -> list:
+        """The live worker processes (diagnostics and tests)."""
+        return [slot.proc for slot in self.slots]
+
+    def start(self) -> None:
+        """Fork the workers (the caller must still be single-threaded),
+        then start the router/dispatcher/supervisor thread."""
+        self.slots = [self._spawn() for _ in range(self.n_workers)]
+        self._wake_r, self._wake_w = os.pipe()
+        self._router = threading.Thread(
+            target=self._route, name="repro-fleet-router", daemon=True
+        )
+        self._router.start()
+
+    def _spawn(self) -> WorkerSlot:
+        """Fork one worker connected by a fresh duplex pipe."""
+        parent_conn, child_conn = self._mp.Pipe()
+        heartbeat = self._mp.Value("d", time.monotonic(), lock=False)
+        proc = self._mp.Process(
+            target=_fleet_worker_main, args=(child_conn, heartbeat),
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()  # ours alone now lives in the child
+        return WorkerSlot(proc, parent_conn, heartbeat)
+
+    def open_ticket(self) -> tuple[int, queue_module.Queue]:
+        with self._lock:
+            ticket = next(self._tickets)
+            mailbox: queue_module.Queue = queue_module.Queue()
+            self._mailboxes[ticket] = mailbox
+        return ticket, mailbox
+
+    def close_ticket(self, ticket: int) -> None:
+        with self._lock:
+            self._mailboxes.pop(ticket, None)
+            # Drop the ticket's queued work and retry history: no
+            # mailbox will ever collect it.
+            self._ready = deque(
+                item for item in self._ready if item.ticket != ticket
             )
-        except queue_module.Empty:
-            dead = [w for w in workers if not w.is_alive() and w.exitcode]
-            if dead:
-                raise JobFailed(
-                    f"worker died with exit code {dead[0].exitcode} "
-                    f"({n_pending} tasks outstanding)"
-                )
-            continue
-        if kind == "error":
-            raise JobFailed(f"task {task.label()!r} failed:\n{error}")
-        n_pending -= 1
-        yield task, payload, seconds
+            # The router updates _attempts without this lock: iterate a
+            # snapshot, and tolerate keys it already dropped.
+            prefix = f"{ticket}:"
+            for task_id in [
+                t for t in list(self._attempts) if t.startswith(prefix)
+            ]:
+                self._attempts.pop(task_id, None)
+
+    def submit(self, ticket: int, context: TaskContext, task) -> None:
+        with self._lock:
+            self._ready.append(_FleetItem(ticket, context, task))
+        self._wake()
+
+    def _wake(self) -> None:
+        if self._wake_w is not None:
+            try:
+                os.write(self._wake_w, b"x")
+            except OSError:
+                pass
+
+    def check_alive(self) -> None:
+        """Raise :class:`JobFailed` when the fleet can no longer make
+        progress — not on a worker death (the router respawns those),
+        but on a respawn storm or a dead router, where a job's tasks
+        would otherwise wait forever."""
+        if self._stop_event.is_set():
+            return
+        if self._failure is not None:
+            raise JobFailed(self._failure)
+        if self._router is not None and not self._router.is_alive():
+            raise JobFailed("fleet router thread died")
+
+    def _deliver(self, ticket: int, message) -> None:
+        with self._lock:
+            mailbox = self._mailboxes.get(ticket)
+        if mailbox is not None:
+            mailbox.put(message)
+
+    def _send(self, slot, item: _FleetItem) -> None:
+        """Dispatch ``item`` to ``slot`` (the caller holds the lock)."""
+        try:
+            slot.conn.send(
+                (item.ticket, item.context, item.task, item.task_id)
+            )
+        except (OSError, ValueError):
+            self._ready.appendleft(item)
+            # Flag the torn pipe: the process may be alive with a
+            # beating heartbeat, and an unflagged slot would look idle
+            # forever (livelock).
+            slot.broken = True
+            return
+        slot.item = item
+
+    def _settle(self, slot, message) -> None:
+        """One worker result: commit its charge reservation (the
+        charges stand — even for an ``"error"`` result, which spent
+        real measurements exactly as an in-process run would have) and
+        deliver it to the submitting job's mailbox."""
+        ticket, kind, task, payload, seconds, error = message
+        item, slot.item = slot.item, None
+        self._barren_respawns = 0
+        if item is not None:
+            meter = item.context.meter()
+            if meter is not None:
+                meter.commit_task(item.task_id)
+            self._attempts.pop(item.task_id, None)
+        self._deliver(ticket, (kind, task, payload, seconds, error))
+
+    def _rollback(self, item: _FleetItem) -> None:
+        meter = item.context.meter()
+        if meter is not None:
+            meter.rollback_task(item.task_id)
+
+    def _reclaim(self, slot, note: str) -> _FleetItem | None:
+        """A dead or hung worker's item: roll back its partial tenant
+        charges and return it for a retry — or, once its attempt budget
+        is spent, fail its own job (and only its own job)."""
+        item, slot.item = slot.item, None
+        if item is None:
+            return None
+        self._rollback(item)
+        notes = self._attempts.setdefault(item.task_id, [])
+        notes.append(note)
+        if len(notes) >= self._retry_budget:
+            self._attempts.pop(item.task_id, None)
+            self._deliver(
+                item.ticket,
+                ("exhausted", item.task, None, 0.0, list(notes)),
+            )
+            return None
+        return item
+
+    def _route(self) -> None:
+        """The fleet's one owner thread: dispatch ready items to idle
+        workers, collect results, and supervise (reap, respawn, retry)
+        — single-threaded slot state, no handoff races."""
+        from multiprocessing import connection
+
+        while not self._stop_event.is_set():
+            with self._lock:
+                for slot in self.slots:
+                    if slot.broken or slot.item is not None \
+                            or not self._ready:
+                        continue
+                    self._send(slot, self._ready.popleft())
+            waitable = [slot.conn for slot in self.slots] + [self._wake_r]
+            try:
+                readable = connection.wait(waitable, timeout=POLL_SECONDS)
+            except OSError:
+                readable = []
+            for conn in readable:
+                if conn == self._wake_r:  # the wake pipe is a raw fd
+                    try:
+                        os.read(self._wake_r, 4096)
+                    except OSError:
+                        pass
+                    continue
+                slot = next(s for s in self.slots if s.conn is conn)
+                try:
+                    message = slot.conn.recv()
+                except (EOFError, OSError):
+                    slot.broken = True  # the sweep below reclaims it
+                    continue
+                self._settle(slot, message)
+            for i, slot in enumerate(self.slots):  # supervision sweep
+                hung = slot.stale(self._watchdog)
+                if slot.proc.is_alive() and not hung and not slot.broken:
+                    continue
+                if self._stop_event.is_set():
+                    return
+                if hung:
+                    kill_note = (
+                        f"fleet worker hung (heartbeat silent > "
+                        f"{self._watchdog:g}s); killed"
+                    )
+                elif slot.broken and slot.proc.is_alive():
+                    kill_note = "fleet worker pipe broke; killed"
+                else:
+                    kill_note = None
+                # Kill hung/broken-but-alive workers BEFORE draining: a
+                # drain-first order races a late result into the pipe
+                # between drain and kill — the task would settle AND be
+                # retried (double execution, double tenant charge).
+                # Dead workers cannot send, so the post-kill drain still
+                # collects everything they reported before dying.
+                note = kill_slot(slot, kill_note)
+                try:
+                    while slot.conn.poll():
+                        self._settle(slot, slot.conn.recv())
+                except (EOFError, OSError):
+                    pass
+                slot.close()
+                # Deaths before a task is held spend no retry budget:
+                # bound them too, or a crash-at-init respawns forever.
+                self._barren_respawns += 1
+                retry = self._reclaim(slot, note)
+                if self._barren_respawns > 3 * len(self.slots) + \
+                        self._retry_budget:
+                    self._failure = (
+                        f"fleet workers died {self._barren_respawns} times "
+                        f"without completing a task (last: {note})"
+                    )
+                    return
+                fresh = self.slots[i] = self._spawn()
+                if retry is not None:
+                    # Retry on the respawned worker, never an idle
+                    # survivor: fault hit counters are per process, so a
+                    # survivor could meet the same crash schedule again,
+                    # and whether the budget ran out would hang on
+                    # dispatch timing.
+                    with self._lock:
+                        self._send(fresh, retry)
+
+    def shutdown(self) -> None:
+        """Reap the fleet, leaving no orphans.  Once the router has
+        stopped, a worker still holding a task can never have its result
+        settled: it is killed at once (a cancel never waits out a
+        running task) and its partial charges rolled back.  Idle workers
+        get the sentinel and a bounded join."""
+        self._stop_event.set()
+        self._wake()
+        if self._router is not None:
+            self._router.join(timeout=5.0)
+        idle = []
+        for slot in self.slots:
+            if slot.item is not None:
+                kill_slot(slot, "fleet shut down")
+                self._rollback(slot.item)
+            else:
+                idle.append(slot)
+                try:
+                    slot.conn.send(None)
+                except (OSError, ValueError):
+                    pass
+        for slot in idle:
+            slot.proc.join(timeout=5.0)
+            if slot.proc.is_alive():
+                slot.proc.terminate()
+                slot.proc.join(timeout=5.0)
+        for slot in self.slots:
+            slot.close()
+        for fd in (self._wake_r, self._wake_w):
+            if fd is not None:
+                try:
+                    os.close(fd)
+                except OSError:
+                    pass
+        self._wake_r = self._wake_w = None
 
 
-def _shutdown(workers, graceful: bool) -> None:
-    """Reap the worker team: join finished workers, terminate stragglers
-    (a cancelled job must not leave orphans behind)."""
-    for worker in workers:
-        if graceful:
-            worker.join(timeout=5.0)
-        if worker.is_alive():
-            worker.terminate()
-            worker.join(timeout=5.0)
-
-
-def run_stealing(cell_tasks, provision_tasks, cell_triples, n_workers,
-                 backend, store_path, partitions=None):
-    """Drive a supervised work-stealing round: yields one ``(task,
+def run_on_fleet(fleet: WorkerFleet, context: TaskContext, cell_tasks,
+                 provision_tasks, cell_triples, max_inflight: int,
+                 partitions=None):
+    """Drive one job's tasks through ``fleet``: yields ``(task,
     payload, seconds)`` per completed provision or cell task, in
     completion order.
 
     ``cell_triples`` maps cell index -> set of provisioning triples the
-    cell is gated on; gated cells release the moment their last triple
-    completes, so early-calibrated dies unblock their attack cells
-    while stragglers are still calibrating.
+    cell is gated on; a gated cell enqueues the moment its last missing
+    triple lands.  ``partitions`` maps cell index -> partition plan (see
+    the module docstring): a partitioned cell releases as its plan's
+    :class:`SubTask` fan-out and completes via its :class:`AssembleTask`
+    replay; sub-task completions are never yielded.
 
-    ``partitions`` maps cell index -> partition plan (see the module
-    docstring): a partitioned cell releases as its plan's initial
-    :class:`SubTask` fan-out instead of one :class:`CellTask`, absorbed
-    results may fan out further (GA generations), and the cell
-    completes via the :class:`AssembleTask` replay once its plan has no
-    sub-task outstanding.  Sub-task completions are internal — they are
-    never yielded.
-
-    A worker that dies or hangs mid-task is reaped, respawned, and its
-    task requeued at the *front* of the ready pool (retries first:
-    downstream gating may be waiting on it); the round fails with
-    :class:`~repro.service.jobs.TaskRetriesExhausted` only once one
-    task has consumed its whole ``REPRO_TASK_RETRIES`` budget.  A task
-    that *raises* still fails the round immediately — tasks are pure
-    functions of their pickled selves, so a Python exception would
-    simply raise again on retry.
+    ``max_inflight`` bounds this job's concurrently-dispatched tasks
+    (the job's ``n_workers``), which both shares a daemon's fleet
+    fairly between concurrent jobs and makes a 1-worker job's cells
+    execute strictly sequentially — the property per-tenant quota
+    determinism rides on.  A task that *raises* fails the job at once
+    (tasks are pure functions: it would raise again on retry).
     """
     partitions = dict(partitions or {})
     blocked = {
-        task.index: set(cell_triples.get(task.index, ()))
+        task: set(cell_triples.get(getattr(task, "index", None), ()))
         for task in cell_tasks
     }
     waiters: dict[tuple, list] = {}
     for task in cell_tasks:
-        for triple in blocked[task.index]:
+        for triple in blocked[task]:
             waiters.setdefault(triple, []).append(task)
-    n_results = len(cell_tasks) + len(provision_tasks)
-    retry_budget = task_retry_budget()
-    watchdog = task_timeout_seconds()
     outstanding: dict[int, int] = {}  # cell index -> unabsorbed sub-tasks
     ready = deque(provision_tasks)  # provisioning first: it unblocks cells
 
     def release(task):
         """An unblocked cell enters the pool — as itself, or, when a
         partition plan covers it, as the plan's initial sub-tasks."""
-        plan = partitions.get(task.index)
+        plan = partitions.get(getattr(task, "index", None))
         if plan is None:
             ready.append(task)
             return
@@ -485,168 +741,52 @@ def run_stealing(cell_tasks, provision_tasks, cell_triples, n_workers,
             ready.append(SubTask(task.index, part_id, task.cell, part))
 
     for task in cell_tasks:
-        if not blocked[task.index]:
+        if not blocked[task]:
             release(task)
-    ctx = _context()
-
-    def spawn():
-        return spawn_worker(
-            ctx, _supervised_worker_main, (backend, store_path)
-        )
-
-    # Partitioned rounds hold more units than results, so size the team
-    # by the requested width rather than the (smaller) result count.
-    n_units = n_results if not partitions else max(n_results, n_workers)
-    slots = [spawn() for _ in range(max(1, min(n_workers, n_units)))]
-    attempts: dict[tuple, list] = {}
+    total = len(cell_tasks) + len(provision_tasks)
+    ticket, mailbox = fleet.open_ticket()
+    inflight = 0
     done = 0
-    graceful = False
-    # Workers dying before they ever hold a task (a broken backend
-    # import, a bad store path) never consume any task's retry budget,
-    # so bound them separately or a crash-at-init would respawn forever.
-    respawns_without_progress = 0
-    max_barren_respawns = 3 * len(slots) + retry_budget
-
-    def settle(slot, message):
-        """One result message: free the slot, unblock gated cells.
-        Returns the event to yield, or None for an internal (sub-task)
-        completion."""
-        nonlocal done, respawns_without_progress
-        respawns_without_progress = 0
-        kind, task, payload, seconds, error = message
-        slot.item = None
-        if kind == "error":
-            raise JobFailed(f"task {task.label()!r} failed:\n{error}")
-        if isinstance(task, SubTask):
-            plan = partitions[task.index]
-            new_parts = plan.absorb(task.part_id, payload)
-            outstanding[task.index] += len(new_parts) - 1
-            for part_id, part in new_parts:
-                ready.append(SubTask(task.index, part_id, task.cell, part))
-            if outstanding[task.index] == 0:
-                ready.append(
-                    AssembleTask(task.index, task.cell, plan.script())
+    try:
+        while done < total:
+            while ready and inflight < max_inflight:
+                fleet.submit(ticket, context, ready.popleft())
+                inflight += 1
+            try:
+                kind, task, payload, seconds, error = mailbox.get(
+                    timeout=POLL_SECONDS
                 )
-            return None
-        done += 1
-        if isinstance(task, ProvisionTask):
-            for waiter in waiters.pop(task.triple, ()):
-                pending = blocked[waiter.index]
-                pending.discard(task.triple)
-                if not pending:
-                    release(waiter)
-        return task, payload, seconds
-
-    try:
-        while done < n_results:
-            for slot in slots:  # dispatch to every idle worker
-                if slot.broken or slot.item is not None or not ready:
-                    continue
-                task = ready.popleft()
-                try:
-                    slot.conn.send(task)
-                except (OSError, ValueError):
-                    ready.appendleft(task)
-                    # The pipe is torn even if the process looks healthy:
-                    # flag it so the sweep reaps it, or an alive worker
-                    # with a beating heartbeat would sit here looking
-                    # idle forever (the single-worker livelock).
-                    slot.broken = True
-                    continue
-                slot.item = task
-            for slot in wait_readable(slots, timeout=POLL_SECONDS):
-                try:
-                    message = slot.conn.recv()
-                except (EOFError, OSError):
-                    slot.broken = True  # the sweep below reclaims it
-                    continue
-                event = settle(slot, message)
-                if event is not None:
-                    yield event
-            for i, slot in enumerate(slots):  # supervision sweep
-                hung = slot.stale(watchdog)
-                if slot.proc.is_alive() and not hung and not slot.broken:
-                    continue
-                if hung:
-                    kill_note = (
-                        f"worker hung (heartbeat silent > {watchdog:g}s); "
-                        f"killed"
+            except queue_module.Empty:
+                fleet.check_alive()
+                continue
+            inflight -= 1
+            if kind == "exhausted":
+                # This task's workers died/hung through its whole retry
+                # budget; only THIS job fails — the fleet healed itself
+                # and every other job keeps running.
+                raise TaskRetriesExhausted(task.label(), error)
+            if kind == "error":
+                raise JobFailed(f"task {task.label()!r} failed:\n{error}")
+            if isinstance(task, SubTask):
+                plan = partitions[task.index]
+                new_parts = plan.absorb(task.part_id, payload)
+                outstanding[task.index] += len(new_parts) - 1
+                for part_id, part in new_parts:
+                    ready.append(
+                        SubTask(task.index, part_id, task.cell, part)
                     )
-                elif slot.broken and slot.proc.is_alive():
-                    kill_note = "worker pipe broke; killed"
-                else:
-                    kill_note = None
-                # Kill hung/broken-but-alive workers BEFORE draining:
-                # draining first races a late result into the pipe
-                # between drain and kill, and the task would settle AND
-                # requeue (double execution, double tenant charge).
-                # Dead workers keep the documented drain-before-reclaim
-                # order trivially — they cannot send anything new.
-                note = kill_slot(slot, kill_note)
-                try:
-                    while slot.conn.poll():
-                        event = settle(slot, slot.conn.recv())
-                        if event is not None:
-                            yield event
-                except (EOFError, OSError):
-                    pass
-                slot.close()
-                task, slot.item = slot.item, None
-                respawns_without_progress += 1
-                if respawns_without_progress > max_barren_respawns:
-                    raise JobFailed(
-                        f"workers died {respawns_without_progress} times "
-                        f"without completing a task (last: {note}); "
-                        f"giving up instead of respawning forever"
+                if outstanding[task.index] == 0:
+                    ready.append(
+                        AssembleTask(task.index, task.cell, plan.script())
                     )
-                slots[i] = spawn()
-                if task is not None:
-                    notes = attempts.setdefault(task.key(), [])
-                    notes.append(note)
-                    if len(notes) >= retry_budget:
-                        raise TaskRetriesExhausted(task.label(), notes)
-                    ready.appendleft(task)  # retry first: others may gate on it
-        for slot in slots:
-            if slot.proc.is_alive():
-                try:
-                    slot.conn.send(None)
-                except (OSError, ValueError):
-                    pass
-        graceful = True
+                continue
+            done += 1
+            if isinstance(task, ProvisionTask):
+                for waiter in waiters.pop(task.triple, ()):
+                    pending = blocked[waiter]
+                    pending.discard(task.triple)
+                    if not pending:
+                        release(waiter)
+            yield task, payload, seconds
     finally:
-        _shutdown([slot.proc for slot in slots], graceful)
-        for slot in slots:
-            slot.close()
-
-
-def run_static(cell_tasks, n_workers, backend, store_path):
-    """Drive a static round: contiguous shards pre-assigned per worker.
-
-    The naive baseline — no queue, no stealing: each worker executes
-    its slice of the cell list in order, so one dominant cell pins its
-    whole shard behind it.  Provisioning is not gated here; the caller
-    provisions (lockstep, parent-side) before sharding.
-    """
-    tasks = list(cell_tasks)
-    n_workers = max(1, min(n_workers, len(tasks)))
-    chunk = (len(tasks) + n_workers - 1) // n_workers
-    shards = [tasks[i * chunk:(i + 1) * chunk] for i in range(n_workers)]
-    ctx = _context()
-    result_queue = ctx.Queue()
-    workers = [
-        ctx.Process(
-            target=_worker_loop,
-            args=(shard, None, result_queue, backend, store_path),
-            daemon=True,
-        )
-        for shard in shards
-        if shard
-    ]
-    for worker in workers:
-        worker.start()
-    graceful = False
-    try:
-        yield from _collect(workers, result_queue, len(tasks))
-        graceful = True
-    finally:
-        _shutdown(workers, graceful)
+        fleet.close_ticket(ticket)

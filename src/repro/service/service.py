@@ -3,10 +3,9 @@
 :class:`FoundryService` is the execution layer everything above the
 engine now talks to: campaigns, fleet provisioning passes and
 experiment-registry runs are all :mod:`~repro.service.jobs` submitted
-through one API and executed behind one scheduler.  A submitted job is
-validated up front (worker counts, scheduler names, attack names,
-journal binding — all rejected before any work starts) and returns a
-:class:`JobHandle`:
+through one API.  A submitted job is validated up front (worker
+counts, attack names, journal binding — all rejected before any work
+starts) and returns a :class:`JobHandle`:
 
 * ``handle.stream()`` — iterate :class:`~repro.service.jobs.TaskEvent`
   records as tasks complete (completion order, not cell order);
@@ -15,18 +14,24 @@ journal binding — all rejected before any work starts) and returns a
   provisioning count, or the experiment result list);
 * ``handle.status()`` — the :class:`~repro.service.jobs.JobStatus`
   lifecycle;
-* ``handle.cancel()`` — stop scheduling, reap the worker team, keep
+* ``handle.cancel()`` — stop scheduling, reap the job's workers, keep
   everything already journaled.
 
-The handle's consumer drives the job: no scheduler thread lives in the
-parent process, so when the scheduler forks its worker team the parent
-is single-threaded — the same fork-safety argument as the engine
-kernel's per-call thread teams.  Campaign reports are bit-identical to
-a sequential run whatever the worker count, backend or scheduler mode
-(cells rebuild their chips and seed their own RNGs; calibrations are
-deterministic values read through the shared store), and a campaign
-with a journal resumes from its finished cells after a kill — both
-held in ``tests/test_service.py``.
+The handle's consumer drives the job.  A job with one worker runs
+in-process — the ground truth every differential compares against; a
+sharded job runs on a :class:`~repro.service.scheduler.WorkerFleet`
+private to the job, whose workers fork before its router thread
+starts, so the initial team forks from a single-threaded parent — the
+same fork-safety argument as the engine kernel's per-call thread
+teams.  A worker respawned after a crash forks from the router thread
+(the trade the daemon's persistent fleet makes too, and every
+``multiprocessing.Pool``); the worker immediately re-runs the same
+initialisation.  Campaign reports are bit-identical to a sequential
+run whatever the worker count or backend (cells rebuild their chips
+and seed their own RNGs; calibrations are deterministic values read
+through the shared store), and a campaign with a journal resumes from
+its finished cells after a kill — both held in
+``tests/test_service.py``.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 import time
+from contextlib import contextmanager
 
 from repro.engine import CalibrationStore, get_default_engine, set_default_backend
 from repro.service.jobs import (
@@ -43,7 +49,6 @@ from repro.service.jobs import (
     JobFailed,
     JobStatus,
     ProvisioningJob,
-    SCHEDULERS,
     TaskEvent,
     default_worker_count,
     validate_worker_count,
@@ -52,8 +57,9 @@ from repro.service.journal import JobJournal, cells_fingerprint
 from repro.service.scheduler import (
     CellTask,
     ProvisionTask,
-    run_static,
-    run_stealing,
+    TaskContext,
+    WorkerFleet,
+    run_on_fleet,
 )
 
 
@@ -100,20 +106,6 @@ def plan_cell_partitions(todo):
         if plan is not None:
             partitions[index] = plan
     return partitions
-
-
-def journal_task_events(events, journal):
-    """Map raw scheduler results to :class:`TaskEvent` records,
-    journaling each finished cell the moment its result arrives —
-    the shared tail of every scheduled execution path (per-job worker
-    teams and the daemon's persistent fleet alike)."""
-    for task, payload, seconds in events:
-        if isinstance(task, CellTask):
-            if journal is not None:
-                journal.put_cell(task.index, task.label(), payload, seconds)
-            yield TaskEvent("cell", task.label(), task.index, payload, seconds)
-        else:
-            yield TaskEvent("provision", task.label(), None, payload, seconds)
 
 
 class JobHandle:
@@ -262,7 +254,7 @@ class JobHandle:
             return False
         self._cancelled = True
         if self._gen is not None:
-            self._gen.close()  # GeneratorExit -> scheduler reaps workers
+            self._gen.close()  # GeneratorExit -> the job's fleet is reaped
             self._gen = None
         self._status = JobStatus.CANCELLED
         return True
@@ -274,18 +266,12 @@ class FoundryService:
     Args:
         n_workers: Default worker count for jobs that do not pin one;
             None falls back to ``REPRO_SERVICE_WORKERS`` (default 1).
-        scheduler: Default campaign scheduler mode (``"stealing"``).
     """
 
-    def __init__(self, n_workers: int | None = None, scheduler: str = "stealing"):
+    def __init__(self, n_workers: int | None = None):
         if n_workers is not None:
             validate_worker_count(n_workers)
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; known: {SCHEDULERS}"
-            )
         self.n_workers = n_workers
-        self.scheduler = scheduler
 
     # -- submission -------------------------------------------------------
 
@@ -317,6 +303,26 @@ class FoundryService:
             return self.n_workers
         return default_worker_count()
 
+    # -- execution hooks --------------------------------------------------
+
+    @contextmanager
+    def _fleet(self, n_workers: int):
+        """The fleet a sharded job runs on: one private to the job,
+        forked here — before its router thread starts — and reaped when
+        the job completes, fails or is cancelled.  The daemon's service
+        overrides this with its one persistent fleet."""
+        fleet = WorkerFleet(n_workers)
+        try:
+            fleet.start()
+            yield fleet
+        finally:
+            fleet.shutdown()
+
+    def _task_context(self, backend, store_path) -> TaskContext:
+        """What a worker initialises to run this service's tasks (the
+        daemon's service adds the tenant meter)."""
+        return TaskContext(backend=backend, store_path=store_path)
+
     # -- campaign jobs ----------------------------------------------------
 
     def _prepare_campaign(self, job: CampaignJob):
@@ -324,7 +330,6 @@ class FoundryService:
 
         cells = list(job.cells)
         n_workers = self._resolve_workers(job.n_workers)
-        scheduler = job.scheduler or self.scheduler
         # Up-front validation: every attack name must resolve before
         # any cell (or worker fork) runs.
         for attack, params in {(c.attack, c.attack_params) for c in cells}:
@@ -335,10 +340,9 @@ class FoundryService:
             journal.bind(
                 cells_fingerprint(cells), meta={"n_cells": len(cells)}
             )
-        return lambda: self._campaign_events(job, cells, n_workers,
-                                             scheduler, journal)
+        return lambda: self._campaign_events(job, cells, n_workers, journal)
 
-    def _campaign_events(self, job, cells, n_workers, scheduler, journal):
+    def _campaign_events(self, job, cells, n_workers, journal):
         from repro.campaigns.campaign import CampaignResult
 
         resolved_backend = job.backend or get_default_engine().backend
@@ -352,7 +356,7 @@ class FoundryService:
             yield TaskEvent("replay", label, index, report, seconds)
         todo = [(i, cell) for i, cell in enumerate(cells) if i not in replayed]
         runner, reported_workers = self._campaign_runner(
-            job, todo, n_workers, scheduler, journal
+            job, todo, n_workers, journal
         )
         for event in runner:
             if event.kind == "cell":
@@ -366,17 +370,15 @@ class FoundryService:
             backend=resolved_backend,
         )
 
-    def _campaign_runner(self, job, todo, n_workers, scheduler, journal):
+    def _campaign_runner(self, job, todo, n_workers, journal):
         """Choose how the remaining cells execute: ``(runner,
         reported_workers)``.
 
-        The execution-policy hook the daemon's fleet-backed service
-        overrides: the base service runs small jobs in-process (the
-        ground-truth path) and shards the rest over a per-job worker
-        team; the daemon routes everything to its one persistent fleet.
-        Either way the runner yields the same :class:`TaskEvent`
-        sequence shape, which is why reports are bit-identical across
-        execution modes.
+        Small jobs run in-process (the ground-truth path); the rest
+        shard over a fleet.  The daemon's service overrides this to
+        shard everything on its persistent fleet.  Either way the
+        runner yields the same :class:`TaskEvent` sequence shape, which
+        is why reports are bit-identical across execution modes.
         """
         if n_workers == 1:
             return self._campaign_inline(job, todo, journal), 1
@@ -385,8 +387,12 @@ class FoundryService:
             # single *partitioned* cell is exactly the dominant-cell
             # case sub-task scheduling exists for, so it still shards.
             return self._campaign_inline(job, todo, journal), 1
+        # clear_locks=True: this job owns each triple as exactly one
+        # task, so a lock left by a killed run's terminated worker is
+        # debris.  (The daemon plans with False — see its override.)
         return (
-            self._campaign_sharded(job, todo, n_workers, scheduler, journal),
+            self._campaign_sharded(job, todo, n_workers, journal,
+                                   clear_locks=True),
             n_workers,
         )
 
@@ -415,10 +421,9 @@ class FoundryService:
             engine.backend = previous_backend
             engine.calibration_store = previous_store
 
-    def _campaign_sharded(self, job, todo, n_workers, scheduler, journal):
-        """Worker-process execution behind the scheduler."""
-        from repro.campaigns.campaign import provision_fleet
-
+    def _campaign_sharded(self, job, todo, n_workers, journal, clear_locks):
+        """Fleet execution: provisioning tasks gate their cells, and
+        partitioned cells fan out as sub-tasks."""
         store_path = job.calibration_store or (
             journal.calibration_store_path() if journal else None
         )
@@ -426,41 +431,36 @@ class FoundryService:
         if own_tmp:
             store_path = tempfile.mkdtemp(prefix="repro-calstore-")
         try:
-            store = CalibrationStore(store_path)
-            # clear_locks=True: this job owns each triple as exactly
-            # one task, so a lock left by a killed run's terminated
-            # worker is debris.  (The daemon path plans with False —
-            # there a concurrent job may hold a *live* lock.)
             cell_tasks, provision_tasks, cell_triples = plan_campaign_tasks(
-                todo, store, clear_locks=True
+                todo, CalibrationStore(store_path), clear_locks=clear_locks
             )
-            missing = [task.triple for task in provision_tasks]
-            if scheduler == "static":
-                if missing:
-                    # The pre-scheduler behaviour: one parent-side
-                    # lockstep pass before any worker exists.
-                    start = time.perf_counter()
-                    provision_fleet(missing, store, backend=job.backend)
-                    yield TaskEvent(
-                        "provision",
-                        f"fleet of {len(missing)} dies",
-                        None,
-                        tuple(missing),
-                        time.perf_counter() - start,
-                    )
-                events = run_static(cell_tasks, n_workers, job.backend,
-                                    store_path)
-            else:
-                events = run_stealing(
+            partitions = plan_cell_partitions(todo)
+            # Partitioned jobs hold more units than results, so size the
+            # fleet by the requested width rather than the result count.
+            n_units = len(cell_tasks) + len(provision_tasks)
+            if partitions:
+                n_units = max(n_units, n_workers)
+            with self._fleet(max(1, min(n_workers, n_units))) as fleet:
+                events = run_on_fleet(
+                    fleet,
+                    self._task_context(job.backend, store_path),
                     cell_tasks,
                     provision_tasks,
                     cell_triples,
-                    n_workers,
-                    job.backend,
-                    store_path,
-                    partitions=plan_cell_partitions(todo),
+                    max_inflight=n_workers,
+                    partitions=partitions,
                 )
-            yield from journal_task_events(events, journal)
+                # Journal each finished cell the moment its result lands.
+                for task, payload, seconds in events:
+                    if isinstance(task, ProvisionTask):
+                        yield TaskEvent("provision", task.label(), None,
+                                        payload, seconds)
+                        continue
+                    if journal is not None:
+                        journal.put_cell(task.index, task.label(), payload,
+                                         seconds)
+                    yield TaskEvent("cell", task.label(), task.index,
+                                    payload, seconds)
         finally:
             if own_tmp:
                 shutil.rmtree(store_path, ignore_errors=True)
@@ -484,8 +484,9 @@ class FoundryService:
         return len(missing)
 
     def _provision_runner(self, job, missing, n_workers, store):
-        """Execute the missing triples (the daemon overrides this to
-        route them to its persistent fleet)."""
+        """Execute the missing triples: one parent-side lockstep batch,
+        or one fleet task per triple (the daemon's service overrides
+        this to shard everything on its persistent fleet)."""
         from repro.campaigns.campaign import provision_fleet
 
         for triple in missing:
@@ -501,9 +502,17 @@ class FoundryService:
                 time.perf_counter() - start,
             )
         else:
-            events = run_stealing(
-                [], [ProvisionTask(t) for t in missing], {}, n_workers,
-                job.backend, str(store.path),
+            yield from self._provision_sharded(job, missing, n_workers, store)
+
+    def _provision_sharded(self, job, missing, n_workers, store):
+        with self._fleet(min(n_workers, len(missing))) as fleet:
+            events = run_on_fleet(
+                fleet,
+                self._task_context(job.backend, str(store.path)),
+                [],
+                [ProvisionTask(t) for t in missing],
+                {},
+                max_inflight=n_workers,
             )
             for task, payload, seconds in events:
                 yield TaskEvent("provision", task.label(), None, payload,

@@ -417,18 +417,19 @@ class TestSupervisionRaces:
 
     def test_fleet_late_result_settles_once(self, daemon_factory, monkeypatch):
         """The same kill/drain race guard on the daemon fleet's router
-        sweep, with the same retries=1 sharpening."""
-        import repro.service.daemon as daemon_module
+        sweep, with the same retries=1 sharpening (the router lives in
+        the scheduler module, whose ``kill_slot`` it calls)."""
+        import repro.service.scheduler as scheduler_module
 
         monkeypatch.setenv(TASK_TIMEOUT_ENV, "1")
         monkeypatch.setenv(TASK_RETRIES_ENV, "1")
-        real_kill = daemon_module.kill_slot
+        real_kill = scheduler_module.kill_slot
 
         def slow_kill(slot, note_kill):
             time.sleep(4.0)
             return real_kill(slot, note_kill)
 
-        monkeypatch.setattr(daemon_module, "kill_slot", slow_kill)
+        monkeypatch.setattr(scheduler_module, "kill_slot", slow_kill)
         cells = oracle_cells(2)
         reference = FoundryService().submit(
             CampaignJob(cells=cells, n_workers=1)

@@ -2,11 +2,13 @@
 journal resume (including after a hard SIGKILL), provisioning gating,
 and up-front validation of worker counts and job payloads."""
 
+import multiprocessing
 import os
 import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -58,7 +60,7 @@ def fleet_cells() -> list:
 
 class TestWorkStealingDeterminism:
     """The tentpole acceptance: reports bit-identical to sequential
-    execution across worker counts, backends and scheduler modes."""
+    execution across worker counts and backends."""
 
     def test_worker_counts_and_schedulers_are_bit_identical(self):
         cells = fleet_cells()
@@ -67,8 +69,6 @@ class TestWorkStealingDeterminism:
             stealing = run_campaign(cells, n_workers=n_workers)
             assert stealing.reports == sequential.reports
             assert stealing.n_workers == n_workers
-        static = run_campaign(cells, n_workers=2, scheduler="static")
-        assert static.reports == sequential.reports
 
     def test_backends_bit_identical_through_scheduler(self):
         cells = fleet_cells()[:3]
@@ -192,17 +192,47 @@ class TestJobLifecycle:
         with pytest.raises(KeyError, match="unknown attack"):
             FoundryService().submit(CampaignJob(cells=(cell,)))
 
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            FoundryService().submit(
-                CampaignJob(cells=(), scheduler="mystery")
-            )
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            FoundryService(scheduler="mystery")
-
     def test_experiment_job_validates_names_at_submit(self):
         with pytest.raises(KeyError, match="unknown experiment"):
             FoundryService().submit(ExperimentJob(names=("fig99",)))
+
+
+class TestJobFleetReaped:
+    """A sharded in-process job runs on a fleet private to the job: its
+    workers and its router thread must be gone once the job completes,
+    fails or is cancelled."""
+
+    def assert_reaped(self):
+        assert multiprocessing.active_children() == []
+        assert [
+            t.name for t in threading.enumerate()
+            if t.name.startswith("repro-") and t.is_alive()
+        ] == []
+
+    def test_completed_job(self):
+        FoundryService().submit(
+            CampaignJob(cells=tuple(oracle_cells(2)), n_workers=2)
+        ).result()
+        self.assert_reaped()
+
+    def test_failed_job(self):
+        cells = oracle_cells(1) + [
+            CampaignCell("brute-force", ThreatScenario(scheme="adamantium"))
+        ]
+        handle = FoundryService().submit(
+            CampaignJob(cells=tuple(cells), n_workers=2)
+        )
+        with pytest.raises(JobFailed, match="adamantium"):
+            handle.result()
+        self.assert_reaped()
+
+    def test_cancelled_job(self):
+        handle = FoundryService().submit(
+            CampaignJob(cells=tuple(oracle_cells(4)), n_workers=2)
+        )
+        next(iter(handle.stream()))
+        assert handle.cancel() is True
+        self.assert_reaped()
 
 
 class TestWorkerCountValidation:

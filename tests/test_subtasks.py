@@ -7,9 +7,10 @@ scheduler-internal sub-tasks, yet its assembled report — including
 ``n_queries``, tenant meter totals and the
 :class:`~repro.attacks.oracle.QueryBudgetExceeded` refusal point — is
 byte-identical to the scalar cell's, across partition sizes, worker
-counts and engine backends, on both the work-stealing scheduler and
-the daemon fleet.  Plus the unit semantics of the plans themselves and
-of the :class:`~repro.attacks.oracle.ScriptedOracle` replay.
+counts and engine backends, on both an in-process job's private fleet
+and the daemon's persistent fleet.  Plus the unit semantics of the
+plans themselves and of the :class:`~repro.attacks.oracle.ScriptedOracle`
+replay.
 
 These tests install no fault plans of their own, so the chaos CI leg
 can run them under an ambient ``REPRO_FAULTS`` crash schedule — the
@@ -253,17 +254,6 @@ class TestSubTaskDifferential:
                  bf_cell(seed=9)]
         reference = run_campaign(scalar, n_workers=1)
         result = run_campaign(mixed, n_workers=4)
-        assert report_bytes(result.reports) == report_bytes(
-            reference.reports
-        )
-
-    def test_static_scheduler_runs_partitioned_cells_scalar(self):
-        """The static baseline ignores partition plans (documented): a
-        partitioned cell list still reproduces the scalar reports."""
-        result = run_campaign(
-            [bf_cell(subtask_keys=8)], n_workers=2, scheduler="static"
-        )
-        reference = run_campaign([bf_cell()], n_workers=1)
         assert report_bytes(result.reports) == report_bytes(
             reference.reports
         )
