@@ -224,6 +224,82 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+#: ``(setter, getter)`` thread-count symbols of the OpenBLAS builds a
+#: process may load: numpy's ``libscipy_openblas64_`` (64-bit integer
+#: interface), scipy's ``libscipy_openblas``, and system builds.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _loaded_openblas() -> list[tuple]:
+    """Every OpenBLAS copy already loaded in this process, as ``(path,
+    set_num_threads, get_num_threads)``.  Copies are found among the
+    process's mapped shared objects (``/proc/self/maps``; none where
+    that file does not exist) and opened with ``RTLD_NOLOAD``, so this
+    never loads a library that was not there."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {
+                fields[5] for fields in (line.split() for line in fh)
+                if len(fields) >= 6
+                and "openblas" in os.path.basename(fields[5]).lower()
+            }
+    except OSError:
+        return []
+    mode = getattr(os, "RTLD_NOLOAD", 0) | getattr(os, "RTLD_LAZY", 1)
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=mode)
+        except OSError:
+            continue
+        for setter, getter in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                set_threads = getattr(lib, setter)
+                set_threads.argtypes = [ctypes.c_int]
+                set_threads.restype = None
+                get_threads = getattr(lib, getter)
+                get_threads.argtypes = []
+                get_threads.restype = ctypes.c_int
+                found.append((path, set_threads, get_threads))
+                break
+    return found
+
+
+def blas_threads() -> dict[str, int]:
+    """Thread count of every loaded OpenBLAS copy, keyed by its path."""
+    return {path: get() for path, _, get in _loaded_openblas()}
+
+
+def pin_blas_threads() -> None:
+    """Set every loaded OpenBLAS copy to one thread.
+
+    Every fleet worker calls this first.  N fleet processes already
+    cover N cores, while each OpenBLAS copy sizes its pool to every
+    core, and the helper thread scipy's ``expm`` (in
+    :func:`~repro.engine.plan.discretise_tank`) wakes keeps spinning on
+    the core the next worker needs.  The kernel's own thread team is a
+    separate axis (``REPRO_ENGINE_THREADS``) and is left alone.
+
+    Exactness: the pool size only decides how OpenBLAS divides a call
+    between threads — over independent output blocks and right-hand-side
+    columns, never inside one output element's reduction at the operand
+    sizes this package passes (the 2x2 tank matrices of
+    ``discretise_tank``; the short dots elsewhere stay below OpenBLAS's
+    threading thresholds).  Each output element is therefore the same
+    floating-point operations in the same order at any pool size, so
+    fleet reports stay byte-identical to in-process runs, whose pools
+    are left alone.  The daemon and service differential guards
+    (``tests/test_daemon.py``, ``tests/test_service.py``,
+    ``tests/test_subtasks.py``) hold that, unedited.
+    """
+    for _, set_threads, _ in _loaded_openblas():
+        set_threads(1)
+
+
 def kernel_threads() -> int:
     """Resolve the key-axis thread count from ``REPRO_ENGINE_THREADS``.
 

@@ -41,6 +41,14 @@ are respawned and their task retried up to ``REPRO_TASK_RETRIES`` attempts
 heartbeat silence), with reports byte-identical across any crash
 schedule — held under the deterministic fault-injection plans of
 :mod:`repro.faults` in ``tests/test_faults.py``.
+
+Serving: :class:`~repro.service.daemon.FoundryDaemon` runs the same
+service as a long-lived, multi-tenant server — one daemon per state
+root, one persistent fleet — that frame clients
+(:class:`~repro.service.client.DaemonClient`) reach over a
+trusted-local socket.  :class:`~repro.service.http.FoundryHTTPFrontend`
+is the JSON-only door for untrusted clients: it translates HTTP into
+frames to that daemon (``python -m repro.service http``).
 """
 
 from repro.service.jobs import (
@@ -74,25 +82,16 @@ from repro.service.tenants import (
 )
 from repro.service.client import DaemonClient, JobInterrupted, RemoteJobHandle
 from repro.service.daemon import DaemonUnavailable, FoundryDaemon
-from repro.service.gateway import (
-    BackendDown,
-    FoundryGateway,
-    GATEWAY_BACKENDS_ENV,
-    rendezvous_backend,
-)
 from repro.service.http import FoundryHTTPFrontend, job_from_json
 
 __all__ = [
-    "BackendDown",
     "CampaignJob",
     "DaemonClient",
     "DaemonUnavailable",
     "ExperimentJob",
     "FoundryDaemon",
-    "FoundryGateway",
     "FoundryHTTPFrontend",
     "FoundryService",
-    "GATEWAY_BACKENDS_ENV",
     "JobCancelled",
     "JobFailed",
     "JobHandle",
@@ -118,7 +117,6 @@ __all__ = [
     "default_worker_count",
     "job_from_json",
     "parse_tenant_spec",
-    "rendezvous_backend",
     "task_retry_budget",
     "task_timeout_seconds",
     "validate_worker_count",

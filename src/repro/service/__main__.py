@@ -2,27 +2,26 @@
 
 Subcommands::
 
-    serve    run a daemon:  python -m repro.service serve --root RUNDIR \\
-                [--socket ADDR] [--workers N] [--name NAME] \\
+    serve    run a daemon (one per RUNDIR):
+             python -m repro.service serve --root RUNDIR \\
+                [--socket ADDR] [--workers N] \\
                 [--tenant name=prio:quota:spm:qpm]...
-    gateway  run a front balancer over daemons sharing RUNDIR:
-             python -m repro.service gateway --root RUNDIR \\
-                --backend ADDR [--backend ADDR]... [--socket ADDR] \\
-                [--http HOST:PORT] [--tenant SPEC]...
+    http     serve the JSON-only HTTP facade in its own process,
+             translating to frames for the daemon at ADDR:
+             python -m repro.service http [--socket ADDR] \\
+                --listen HOST:PORT
     submit   submit a pickled job and stream its events:
              python -m repro.service submit --job job.pkl [--out result.pkl]
     status   daemon stats, or one job's status:
              python -m repro.service status [JOB_ID]
-    jobs     list every job the daemon (or gateway) knows
+    jobs     list every job the daemon knows
     ping     one-line liveness check (exit 1 when unreachable)
     drain    finish every admitted job, then shut the daemon down:
              python -m repro.service drain [--timeout S] [--no-shutdown]
 
 The daemon address resolves ``--socket``, then ``REPRO_SERVICE_SOCKET``
-(serve also falls back to ``<root>/daemon.sock``, gateway to
-``<root>/gateway.sock``); the gateway's backend list also resolves
-``REPRO_GATEWAY_BACKENDS``; the submitting tenant resolves
-``--tenant``, then ``REPRO_SERVICE_TENANT``.
+(serve also falls back to ``<root>/daemon.sock``); the submitting
+tenant resolves ``--tenant``, then ``REPRO_SERVICE_TENANT``.
 """
 
 from __future__ import annotations
@@ -42,12 +41,10 @@ def _cmd_serve(args) -> int:
         n_workers=args.workers,
         tenants=[parse_tenant_spec(spec) for spec in args.tenant],
         max_active=args.max_active,
-        name=args.name,
     )
     print(
         f"repro-daemon: serving on {daemon.address} "
-        f"({daemon.fleet.n_workers} workers, root {daemon.root}, "
-        f"name {daemon.name})",
+        f"({daemon.fleet.n_workers} workers, root {daemon.root})",
         flush=True,
     )
     daemon.run()
@@ -55,42 +52,32 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_gateway(args) -> int:
-    from repro.service.gateway import FoundryGateway
-    from repro.service.tenants import parse_tenant_spec
+def _cmd_http(args) -> int:
+    import signal
+    import threading
 
-    gateway = FoundryGateway(
-        root=args.root,
-        backends=args.backend,
-        socket=args.socket,
-        tenants=[parse_tenant_spec(spec) for spec in args.tenant],
-        health_interval=args.health_interval,
-    )
-    frontend = None
-    if args.http:
-        from repro.service.http import FoundryHTTPFrontend
+    from repro.service.http import FoundryHTTPFrontend
 
-        host, _, port = args.http.rpartition(":")
-        frontend = FoundryHTTPFrontend(
-            backend=gateway.address,
-            host=host or "127.0.0.1",
-            port=int(port),
-        )
-    print(
-        f"repro-gateway: serving on {gateway.address} over "
-        f"{len(gateway.backends)} backend(s), root {gateway.root}"
-        + (f", http {frontend.address}" if frontend else ""),
-        flush=True,
-    )
-    if frontend is not None:
-        frontend.start()
-    try:
-        gateway.run()
-    finally:
-        if frontend is not None:
-            frontend.stop()
-    print("repro-gateway: stopped", flush=True)
+    backend = _client(args).address  # resolves REPRO_SERVICE_SOCKET
+    host, port = args.listen
+    frontend = FoundryHTTPFrontend(backend=backend, host=host, port=port)
+    stop = threading.Event()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *_: stop.set())
+    frontend.start()
+    print(f"repro-http: serving on {frontend.address}, daemon {backend}",
+          flush=True)
+    stop.wait()
+    frontend.stop()
+    print("repro-http: stopped", flush=True)
     return 0
+
+
+def _host_port(text: str) -> tuple[str, int]:
+    host, sep, port = text.rpartition(":")
+    if not sep or not port.isdigit():
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
+    return host or "127.0.0.1", int(port)
 
 
 def _client(args):
@@ -163,14 +150,9 @@ def _cmd_jobs(args) -> int:
         print("no jobs")
         return 0
     for job_id, record in sorted(jobs.items()):
-        extra = ""
-        if record.get("backend"):
-            extra += f" @ {record['backend']}"
-        if record.get("stranded"):
-            extra += " (stranded: backend down)"
         print(
             f"{job_id} [{record['tenant']}]: {record['status']} "
-            f"({record['n_events']} events){extra}"
+            f"({record['n_events']} events)"
         )
     if reply.get("draining"):
         print("(draining)")
@@ -185,17 +167,11 @@ def _cmd_ping(args) -> int:
     except (DaemonUnavailableError, ConnectionError, OSError) as exc:
         print(f"unreachable: {exc}", file=sys.stderr)
         return 1
-    kind = "gateway" if info.get("gateway") else "daemon"
-    line = (
-        f"{kind} pid {info['pid']}: {info['workers']} workers, "
+    print(
+        f"daemon pid {info['pid']}: {info['workers']} workers, "
         f"{info['active']} active of {info['n_jobs']} jobs"
-        + (" (draining)" if info.get("draining") else "")
+        + (" (draining)" if info["draining"] else "")
     )
-    backends = info.get("backends") or {}
-    if backends:
-        up = sum(1 for b in backends.values() if b.get("alive"))
-        line += f", {up}/{len(backends)} backends alive"
-    print(line)
     return 0
 
 
@@ -211,7 +187,7 @@ def _cmd_drain(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
-        description="Foundry daemon: serve, submit, status, drain.",
+        description="Foundry daemon: serve, http, submit, status, drain.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -229,30 +205,18 @@ def main(argv=None) -> int:
                             "query quota, submits/min, queries/min")
     serve.add_argument("--max-active", type=int, default=None,
                        help="max concurrently running jobs")
-    serve.add_argument("--name", default=None,
-                       help="daemon identity on a shared root (each daemon "
-                            "recovers only its own journaled jobs)")
     serve.set_defaults(func=_cmd_serve)
 
-    gateway = sub.add_parser(
-        "gateway", help="run a front balancer over daemons sharing one root"
+    http = sub.add_parser(
+        "http", help="serve the JSON-only HTTP facade for a daemon"
     )
-    gateway.add_argument("--root", required=True,
-                         help="the SHARED state directory the backends serve")
-    gateway.add_argument("--backend", action="append", default=[],
-                         metavar="ADDR",
-                         help="backend daemon address (repeatable; default: "
-                              "REPRO_GATEWAY_BACKENDS, comma-separated)")
-    gateway.add_argument("--socket", default=None,
-                         help="listen address (default <root>/gateway.sock)")
-    gateway.add_argument("--http", default=None, metavar="HOST:PORT",
-                         help="also serve the JSON-only HTTP facade here")
-    gateway.add_argument("--tenant", action="append", default=[],
-                         metavar="NAME[=PRIO[:QUOTA[:SPM[:QPM]]]]",
-                         help="tenant config for gateway-side rate limits")
-    gateway.add_argument("--health-interval", type=float, default=1.0,
-                         help="seconds between backend health checks")
-    gateway.set_defaults(func=_cmd_gateway)
+    http.add_argument("--socket", default=None,
+                      help="the daemon's address (default: "
+                           "REPRO_SERVICE_SOCKET)")
+    http.add_argument("--listen", required=True, type=_host_port,
+                      metavar="HOST:PORT",
+                      help="HTTP bind address (port 0 picks a free one)")
+    http.set_defaults(func=_cmd_http)
 
     submit = sub.add_parser("submit", help="submit a pickled job")
     submit.add_argument("--job", required=True,

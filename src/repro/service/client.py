@@ -89,10 +89,6 @@ def _raise_for(reply: dict):
         raise KeyError(error)
     if kind == "DaemonUnavailable":
         raise DaemonUnavailableError(error)
-    if kind == "BackendDown":
-        from repro.service.gateway import BackendDown
-
-        raise BackendDown(error)
     if kind in ("RateLimited", "QueryBudgetExceeded"):
         # Typed refusals keep their in-process types over the wire, so
         # attack loops that already catch QueryBudgetExceeded treat a

@@ -260,10 +260,15 @@ class DaemonJob:
 class FoundryDaemon:
     """Long-lived, multi-tenant job server over the foundry service.
 
+    One daemon serves one root: it owns every job journaled there, so a
+    restart recovers the root whole.  Scale a host up with a larger
+    ``n_workers`` fleet, not a second daemon on the same root.
+
     Args:
         root: The daemon's state directory — shared calibration store
             (``calstore/``), per-job journals (``jobs/<job_id>/``),
-            tenant meters (``tenants/``) and the default socket.
+            tenant meters and rate buckets (``tenants/``) and the
+            default socket.
         socket: Address to listen on — a Unix socket path or
             ``host:port``; defaults to ``REPRO_SERVICE_SOCKET``, else
             ``<root>/daemon.sock``.
@@ -275,12 +280,6 @@ class FoundryDaemon:
         max_active: Concurrently *running* jobs; queued jobs beyond it
             wait in PENDING, admitted highest tenant priority first.
             Defaults to ``max(2, n_workers)``.
-        name: This daemon's identity on a *shared* root.  Several
-            daemons may serve one root (the gateway's scale-out
-            topology); each persisted job records its owner, and
-            restart recovery re-admits only this daemon's own jobs —
-            otherwise every daemon on the root would re-run every job.
-            Single-daemon roots can ignore it (default ``"daemon"``).
 
     Use ``start()``/``stop()`` to embed (tests do), or :meth:`run` as
     the blocking CLI entry point with SIGTERM/SIGINT drain semantics.
@@ -293,10 +292,8 @@ class FoundryDaemon:
         n_workers: int | None = None,
         tenants=(),
         max_active: int | None = None,
-        name: str | None = None,
     ):
         self.root = Path(root)
-        self.name = name or "daemon"
         #: Injectable clock for the submission-rate bucket (tests pin
         #: it; worker-side measurement buckets always use real time).
         self.clock = time.monotonic
@@ -350,8 +347,9 @@ class FoundryDaemon:
 
     def submit_bucket(self, tenant: TenantConfig) -> TokenBucket | None:
         """The tenant's submission-rate bucket, or None when unlimited.
-        Keyed by file path under the (possibly shared) root, so every
-        daemon and gateway on the root debits one tenant-wide limit."""
+        A file under ``<root>/tenants``, so the limit is tenant-wide
+        whichever door (frames or HTTP) a submission arrives through
+        and survives a daemon restart."""
         if tenant.max_submits_per_minute is None:
             return None
         return TokenBucket(
@@ -478,9 +476,9 @@ class FoundryDaemon:
         A genuinely *new* admission debits the tenant's submission-rate
         bucket (typed :class:`~repro.service.tenants.RateLimited`
         refusal, nothing persisted or queued); attaching is free, and
-        ``rate_exempt`` skips the debit for submissions that are not
-        client demand — restart recovery, and gateway forwarding of a
-        submission the gateway already debited.
+        ``rate_exempt`` skips the debit for the one submission that is
+        not client demand: restart recovery (:meth:`_recover`).  It is
+        an in-process argument only — no frame can set it.
         """
         tenant = self.tenant(tenant_name or "default")
         with self._lock:
@@ -538,7 +536,7 @@ class FoundryDaemon:
             ("job.pkl", pickle.dumps(job)),
             ("meta.json", json.dumps(
                 {"job_id": job_id, "tenant": tenant,
-                 "job_type": type(job).__name__, "owner": self.name}
+                 "job_type": type(job).__name__}
             ).encode()),
         ):
             tmp = job_dir / (name + ".tmp")
@@ -560,10 +558,13 @@ class FoundryDaemon:
 
     def _recover(self) -> None:
         """Re-admit every journaled job without a terminal marker —
-        the restart half of drain/restart resume.  Jobs *with* a
-        terminal marker load as inert records, so status queries keep
-        answering; resubmitting one re-admits it (a campaign replays
-        its journal, so even a COMPLETED resubmission is cheap)."""
+        the restart half of drain/restart resume.  The daemon owns its
+        root, so every job under ``<root>/jobs`` is its own (a root
+        once shared by several daemons is recovered whole).  Jobs
+        *with* a terminal marker load as inert records, so status
+        queries keep answering; resubmitting one re-admits it (a
+        campaign replays its journal, so even a COMPLETED resubmission
+        is cheap)."""
         jobs_root = self.jobs_root()
         if not jobs_root.is_dir():
             return
@@ -574,12 +575,6 @@ class FoundryDaemon:
                 continue
             try:
                 meta = json.loads(meta_path.read_text())
-                if meta.get("owner", self.name) != self.name:
-                    # Another daemon on this shared root owns this job
-                    # (gateway scale-out); recovering it here would run
-                    # it twice.  A record persisted before owners
-                    # existed has no field and counts as ours.
-                    continue
                 terminal_path = job_dir / "terminal.json"
                 if terminal_path.is_file():
                     terminal = json.loads(terminal_path.read_text())
@@ -733,7 +728,6 @@ class FoundryDaemon:
         job = decode_payload(frame["job"])
         djob, attached = self.submit_job(
             frame.get("tenant") or "default", job, frame.get("job_id"),
-            rate_exempt=bool(frame.get("rate_exempt")),
         )
         send_frame(conn, {
             "ok": True, "job_id": djob.job_id, "attached": attached,
@@ -769,7 +763,6 @@ class FoundryDaemon:
         send_frame(conn, {
             "ok": True,
             "pid": os.getpid(),
-            "name": self.name,
             "workers": self.fleet.n_workers,
             "n_jobs": n_jobs,
             "active": active,

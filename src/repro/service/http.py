@@ -6,8 +6,10 @@ control.  :class:`FoundryHTTPFrontend` is the boundary for everyone
 else: a stdlib :mod:`http.server` translator that accepts **only
 JSON**, validates the documented job schema server-side
 (:func:`job_from_json`), and only then constructs the real job objects
-on the trusted side before forwarding them over frames to a gateway or
-daemon.  Nothing a client sends is ever unpickled, no server-side path
+on the trusted side before forwarding them over frames to the daemon
+(one daemon per root; ``python -m repro.service http --socket ADDR
+--listen HOST:PORT`` runs the facade in its own process beside it).
+Nothing a client sends is ever unpickled, no server-side path
 (journal or calibration store directory) is accepted from the wire,
 and responses are plain JSON built from the campaign serialization
 helpers — the ``reports`` list is the deterministic artefact payload,
@@ -531,10 +533,11 @@ class _HTTPHandler(BaseHTTPRequestHandler):
 
 class FoundryHTTPFrontend:
     """The JSON facade server: binds ``host:port`` and translates to
-    the frame protocol at ``backend`` (a gateway or daemon address).
+    the frame protocol of the daemon at ``backend``.
 
     Args:
-        backend: Frame-protocol address to forward to.
+        backend: The daemon's frame-protocol address (Unix socket path
+            or ``host:port``).
         host: HTTP bind host (default loopback; put a real proxy in
             front before exposing it wider).
         port: HTTP bind port; 0 picks a free one (see :attr:`port`).
@@ -586,6 +589,7 @@ class FoundryHTTPFrontend:
         self._server.server_close()
 
     def serve_forever(self) -> None:
-        """Blocking entry point (the CLI uses :class:`FoundryGateway.
-        run` with the frontend started alongside instead)."""
+        """Blocking entry point; :meth:`stop` from another thread ends
+        it.  The ``http`` CLI verb uses :meth:`start` instead, to stop
+        cleanly on SIGTERM."""
         self._server.serve_forever(poll_interval=0.1)

@@ -281,6 +281,10 @@ def _fleet_worker_main(conn, heartbeat) -> None:
     parent's end of the pipe closing), re-initialising on context
     changes.
 
+    A worker first pins its OpenBLAS pools to one thread
+    (:func:`~repro.engine.native.pin_blas_threads`): the fleet already
+    covers the cores.
+
     Initialisation is the campaign layer's ``_worker_init`` (a pristine
     private engine of the job's backend, reading through the job's
     shared calibration store) plus the tenant meter install, so reports
@@ -294,7 +298,9 @@ def _fleet_worker_main(conn, heartbeat) -> None:
     """
     from repro.attacks.oracle import install_tenant_meter
     from repro.campaigns.campaign import _worker_init
+    from repro.engine.native import pin_blas_threads
 
+    pin_blas_threads()
     start_heartbeat(heartbeat)
     current = None
     meter = None

@@ -1,7 +1,7 @@
 """Multi-tenant vocabulary of the foundry daemon: priorities, quotas
 and rate limits.
 
-A *tenant* is one customer of a shared daemon (or gateway).  Its
+A *tenant* is one customer of a shared daemon.  Its
 :class:`TenantConfig` carries the admission-control knobs the service
 enforces:
 
@@ -36,9 +36,9 @@ anything.
 Worker processes install their task's meter through
 :func:`repro.attacks.oracle.install_tenant_meter`; every oracle charge
 then writes through both meters (and the rate bucket) atomically.
-Buckets are keyed by file path, so several daemons sharing one state
-root — the gateway's scale-out topology — enforce one tenant-wide
-limit between them.
+Meters and buckets are files under the daemon's root, so every fleet
+worker process and both front doors (frames and the HTTP facade)
+debit one tenant-wide count, and the counts survive a restart.
 """
 
 from __future__ import annotations
@@ -77,7 +77,11 @@ class RateLimited(QueryBudgetExceeded):
 
 @dataclass(frozen=True)
 class TenantConfig:
-    """One tenant of a shared daemon or gateway.
+    """One tenant of a shared daemon.
+
+    The daemon enforces every field (``serve --tenant``); the HTTP
+    facade submits through the daemon, so a tenant gets the same limits
+    over frames and over HTTP.
 
     Attributes:
         name: Tenant identifier (the ``REPRO_SERVICE_TENANT`` value
@@ -88,7 +92,8 @@ class TenantConfig:
             refills.
         max_submits_per_minute: Token-bucket rate limit on job
             submissions (new submissions only; attaching to a live
-            identical job is free); None for unlimited.
+            identical job and restart recovery are free); None for
+            unlimited.
         max_queries_per_minute: Token-bucket rate limit on oracle
             measurements, enforced in the same atomic
             ``charge_batch`` that meters the absolute quota; None for

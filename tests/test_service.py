@@ -235,6 +235,67 @@ class TestJobFleetReaped:
         self.assert_reaped()
 
 
+def tank_discretisation_bytes() -> list:
+    """The ZOH tank matrices (``expm`` + ``solve`` through OpenBLAS)
+    over a grid of tuning codes, as bytes."""
+    from repro.engine import discretise_tank
+    from repro.receiver import Chip
+
+    blocks = Chip().blocks
+    h = 1.0 / (3.2e9 * 8)
+    return [
+        b"".join(m.tobytes() for m in discretise_tank(blocks, cc, cf, h))
+        for cc in range(0, 256, 17)
+        for cf in range(0, 256, 51)
+    ]
+
+
+class BlasProbeTask:
+    """A fleet task that reports its worker's OpenBLAS thread counts and
+    the tank discretisations its pools compute."""
+
+    def label(self) -> str:
+        return "blas-probe"
+
+    def key(self) -> tuple:
+        return ("blas-probe",)
+
+    def run(self):
+        from repro.engine.native import blas_threads
+
+        return blas_threads(), tank_discretisation_bytes()
+
+
+class TestFleetBlasPinned:
+    def test_fleet_worker_runs_every_openblas_on_one_thread(self):
+        """A fleet worker pins every OpenBLAS copy loaded in it to one
+        thread (the fleet already covers the cores), the forking
+        process keeps its pools, and the pinned pools compute the same
+        bytes."""
+        from repro.engine.native import blas_threads
+        from repro.service.scheduler import (
+            TaskContext,
+            WorkerFleet,
+            run_on_fleet,
+        )
+
+        parent = blas_threads()
+        if not parent:
+            pytest.skip("no OpenBLAS loaded in this process")
+        fleet = WorkerFleet(1)
+        fleet.start()
+        try:
+            (_, (worker, tank), _), = run_on_fleet(
+                fleet, TaskContext(), [BlasProbeTask()], [], {},
+                max_inflight=1,
+            )
+        finally:
+            fleet.shutdown()
+        assert worker == {path: 1 for path in parent}
+        assert blas_threads() == parent
+        assert tank == tank_discretisation_bytes()
+
+
 class TestWorkerCountValidation:
     """Satellite: worker counts rejected up front, REPRO_ENGINE_THREADS
     convention (positive integer, valid range in the error)."""
