@@ -114,7 +114,13 @@ def _resolved_backend() -> str:
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Write BENCH_results.json from whatever benchmarks actually ran."""
+    """Write BENCH_results.json from whatever benchmarks actually ran.
+
+    Only ``-m bench`` sessions export: tier-1 collects ``benchmarks/``
+    too, and must not rewrite the tracked export as a side effect.
+    """
+    if session.config.getoption("markexpr", "").strip() != "bench":
+        return
     bench_session = getattr(session.config, "_benchmarksession", None)
     ran = bench_session is not None and getattr(bench_session, "benchmarks", None)
     if not ran and not _skipped_benchmarks:

@@ -1,10 +1,6 @@
 """The paper's 14-step off-chip calibration procedure (the secret sauce)."""
 
-from repro.calibration.metering import (
-    frequency_of_oscillation_config,
-    is_oscillating,
-    oscillation_frequency,
-)
+from repro.calibration.metering import is_oscillating, oscillation_frequency
 from repro.calibration.optimizer import (
     STEP14_FIELDS,
     CoordinateDescentResult,
@@ -41,7 +37,6 @@ __all__ = [
     "calibration_machine",
     "coordinate_descent",
     "descent_machine",
-    "frequency_of_oscillation_config",
     "is_oscillating",
     "oscillation_frequency",
     "segment_gain_plan",

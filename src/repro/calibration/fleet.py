@@ -1,199 +1,16 @@
 """Fleet-lockstep calibration: provision a whole lot per engine batch.
 
-Fleet provisioning — one full 14-step calibration per (die, standard) —
-is the dominant cost of every campaign that targets the fabric lock,
-and most of the procedure is *inherently sequential per die*: steps 5-6
-and 7 are binary searches where each measurement decides the next, and
-the step-14 descent's probes start wherever the previous accepts moved.
-What is **not** sequential is the lot: every die walks the same
-procedure independently, so the same search step can run across all
-dies at once.  That is what this module does.
-
-:class:`FleetCalibrator` builds one resumable
-:func:`~repro.calibration.procedure.calibration_machine` per die and
-advances them in lockstep rounds: each round collects every active
-die's pending :class:`~repro.calibration.procedure.CalibrationProbe`
-and fuses all their engine requests into ONE
-:meth:`~repro.engine.engine.SimulationEngine.run_multi` submission — a
-bisection level of steps 5-6 over the whole lot, a -Gm back-off probe
-of step 7 over the whole lot, or every die's speculative step-14 probe
-set (SNR and SFDR sweeps included), whatever mixture the dies happen to
-be at.  Dies whose machines return (or that converge a search early
-and so yield fewer probes) simply drop out of later rounds.
-
-**Bit-exactness argument.**  A die's machine yields the same requests
-in the same order as the sequential
-:class:`~repro.calibration.procedure.Calibrator` driving the same
-machine — the fleet only *regroups* them with other dies' requests, and
-engine results are a pure function of the individual request (the
-mixed-chip batch property of ``run_multi``).  Every decode is pure
-per-die post-processing — including the *fused* frequency decode,
-which meters every active die's fosc probe through one
-:func:`~repro.calibration.metering.oscillation_frequency_batch` call
-per round (one windowed FFT over the whole fleet instead of one scalar
-FFT per die) and is bit-identical per record to each probe's own
-``decode``.  So per-die keys, scores, step logs and
-metered measurement counts are bit-identical to calibrating each die
-alone — the property ``tests/test_fleet_calibration.py`` holds
-differentially across fleet sizes, standards mixes, backends and
-thread counts.
+Fleet provisioning calibrates every (die, standard) of a lot in
+lockstep rounds, one fused engine batch per round over every active
+die, and per-die keys, scores, step logs and metered measurement
+counts stay bit-identical to calibrating each die alone through the
+scalar reference ``Calibrator(batch_probing=False)``.  That driver is
+:meth:`~repro.calibration.procedure.Calibrator.calibrate_fleet`, and
+its bit-exactness argument sits beside the loop there;
+``Calibrator.calibrate`` is a lot of one.  :class:`FleetCalibrator`
+names the same class for the code that imports it from here.
 """
 
-from __future__ import annotations
+from repro.calibration.procedure import Calibrator
 
-from typing import TYPE_CHECKING, Sequence
-
-from repro.calibration import metering
-from repro.calibration.procedure import (
-    CalibrationProbe,
-    CalibrationResult,
-    Calibrator,
-)
-from repro.receiver.performance import DEFAULT_POWER_DBM
-from repro.receiver.receiver import Chip
-from repro.receiver.standards import Standard
-
-if TYPE_CHECKING:
-    from repro.engine.engine import SimulationEngine
-
-
-class FleetCalibrator(Calibrator):
-    """Calibrates whole lots in lockstep.
-
-    Accepts every :class:`~repro.calibration.procedure.Calibrator` knob
-    (and inherits its single-die :meth:`calibrate`); the defaults are
-    the design-house defaults, so campaign provisioning through this
-    class stores exactly what ``Calibrator().calibrate`` would.
-    """
-
-    def _speculation_depth(self) -> str:
-        """Resolve ``"auto"`` for lots: zero-waste ``"rounds"`` probing.
-
-        Deep speculation exists to widen a *single die's* batches for
-        the kernel's threaded key axis; a fleet round is already one
-        batch over every active die, so dropped speculations would buy
-        no extra parallelism while their decodes cost serial time.
-        Results are identical at every depth (the optimizer's replay
-        property), so this is purely a throughput policy.
-        """
-        if self.speculation == "auto":
-            return "rounds"
-        return self.speculation
-
-    def calibrate_fleet(
-        self,
-        chips: Sequence[Chip],
-        standard: Standard | Sequence[Standard],
-        power_dbm: float = DEFAULT_POWER_DBM,
-        engine: "SimulationEngine | None" = None,
-        on_result=None,
-    ) -> list[CalibrationResult]:
-        """Run all 14 steps in lockstep across ``chips``.
-
-        Args:
-            chips: The lot to provision.
-            standard: One standard for the whole lot, or one per die
-                (mixed-standard fleets are how campaign provisioning
-                calibrates all its (die, standard) triples in a single
-                lockstep pass).
-            power_dbm: Step-12 expected input power.
-            engine: Engine to submit the fused batches to (default
-                engine when omitted).
-            on_result: Optional ``(die_index, result)`` callback fired
-                the moment a die's machine completes — dies converge at
-                different rounds, so streaming consumers (campaign
-                provisioning persists each die to the shared store as
-                it lands) keep completed work durable even when a later
-                die kills the lot.
-
-        Returns:
-            One :class:`CalibrationResult` per die, in ``chips`` order —
-            each bit-identical to ``self.calibrate(chip, standard)``.
-
-        Raises:
-            CalibrationFailed: A die could not complete the procedure
-                (its id and partial step log attached).  Fail-fast: a
-                dead die aborts the lot, exactly as it aborts the
-                sequential loop at that die; dies already completed
-                have been delivered through ``on_result``.
-        """
-        from repro.engine.engine import get_default_engine
-
-        chips = list(chips)
-        if isinstance(standard, Standard):
-            standards = [standard] * len(chips)
-        else:
-            standards = list(standard)
-        if len(standards) != len(chips):
-            raise ValueError(
-                f"fleet of {len(chips)} chips got {len(standards)} standards"
-            )
-        engine = engine or get_default_engine()
-        machines = [
-            self.machine(chip, std, power_dbm)
-            for chip, std in zip(chips, standards)
-        ]
-        results: list[CalibrationResult | None] = [None] * len(chips)
-        pending: dict[int, CalibrationProbe] = {}
-        # Session-scoped drawn-record memo: a lot is measured under the
-        # same few setups round after round, so the records persist
-        # across the session's submissions and die with it.
-        noise_cache: dict = {}
-
-        def advance(die: int, value) -> None:
-            try:
-                pending[die] = machines[die].send(value)
-            except StopIteration as stop:
-                results[die] = stop.value
-                # A finished die's drawn records can never be reused
-                # (entries are per chip): evict them so the session
-                # cache scales with the *active* fleet, not the lot.
-                blocks = chips[die].blocks
-                for key in [
-                    k for k, v in noise_cache.items() if v[0] is blocks
-                ]:
-                    del noise_cache[key]
-                if on_result is not None:
-                    on_result(die, stop.value)
-
-        for die in range(len(machines)):
-            advance(die, None)
-        while pending:
-            active = sorted(pending)
-            # ONE fused engine submission: every active die's probe.
-            outs = engine.run_multi(
-                [
-                    (chips[die], request)
-                    for die in active
-                    for request in pending[die].requests
-                ],
-                noise_cache=noise_cache,
-            )
-            position = 0
-            decoded = {}
-            # Frequency probes expose a fused decode: instead of one
-            # scalar FFT per die per round, every active die's record
-            # goes through ONE batched meter call (bit-identical per
-            # record — see CalibrationProbe.fused_extract).
-            fused: list[tuple[int, object, float]] = []
-            for die in active:
-                probe = pending[die]
-                span = len(probe.requests)
-                chunk = outs[position : position + span]
-                if probe.fused_extract is not None:
-                    record, fs = probe.fused_extract(chunk)
-                    fused.append((die, record, fs))
-                else:
-                    decoded[die] = probe.decode(chunk)
-                position += span
-            if fused:
-                freqs = metering.oscillation_frequency_batch(
-                    [record for _, record, _ in fused],
-                    [fs for _, _, fs in fused],
-                )
-                for (die, _, _), freq in zip(fused, freqs):
-                    decoded[die] = freq
-            for die in active:
-                del pending[die]
-                advance(die, decoded[die])
-        return results  # type: ignore[return-value]
+FleetCalibrator = Calibrator

@@ -129,23 +129,3 @@ def is_oscillating(samples: np.ndarray, fs: float, min_amplitude: float = 0.08) 
     if rms_second < min_amplitude:
         return False
     return rms_second > 0.5 * rms_first
-
-
-def frequency_of_oscillation_config(
-    chip,
-    config,
-    fs: float,
-    gmq_code: int | None = None,
-    n_samples: int = 4096,
-    seed: int = 0,
-) -> float | None:
-    """Measure the free-running tank frequency for given cap codes.
-
-    Wraps :meth:`Chip.simulate_oscillation` and the frequency meter.
-    """
-    result = chip.simulate_oscillation(
-        config, fs, n_samples=n_samples, gmq_code=gmq_code, seed=seed
-    )
-    # Skip the start-up transient: use the second half of the record.
-    settled = result.output[n_samples // 2 :]
-    return oscillation_frequency(settled, fs)

@@ -11,6 +11,10 @@ This optimiser is deliberately *not* a generic black-box search: it
 encodes designer knowledge (which fields to touch, in which order, from
 which simulation-derived starting point).  That knowledge is exactly
 the secret the paper argues an attacker lacks (Sec. VI-B.2).
+
+The descent runs as a resumable state machine (:func:`descent_machine`)
+so the calibration's lockstep driver can fuse many dies' descents into
+shared engine batches; batching never changes what it decides.
 """
 
 from __future__ import annotations
@@ -61,32 +65,27 @@ def descent_machine(
     fields: tuple[tuple[str, int], ...] = STEP14_FIELDS,
     passes: int = 2,
     initial_step: int = 8,
-    speculation: str = "deep",
     batched: bool = True,
 ) -> Generator[list[ConfigWord], list[float], CoordinateDescentResult]:
     """The coordinate descent as a resumable state machine.
 
-    The machine owns the accept logic, the memo and the speculation
-    schedule, but not the measurements: it *yields* lists of candidate
-    configurations to score and receives their scores via ``send``, so
-    any driver — the in-process :func:`coordinate_descent` below, or
-    the fleet calibrator fusing many dies' machines into shared engine
+    The machine owns the accept logic and the memo, but not the
+    measurements: it *yields* lists of candidate configurations to
+    score and receives their scores via ``send``, so any driver — the
+    in-process :func:`coordinate_descent` below, or the lockstep
+    calibration driver fusing many dies' machines into shared engine
     batches — can advance it without changing what it decides.  The
-    yielded lists are exactly the submissions the pre-machine descent
-    made: speculative prefetch sets when ``batched``, single-config
-    misses otherwise, in the same order.  The final
-    :class:`CoordinateDescentResult` is the generator's return value.
+    final :class:`CoordinateDescentResult` is the generator's return
+    value.
 
-    ``batched=False`` reproduces the sequential objective protocol:
-    nothing is speculated and every yield is a one-config list, one per
-    unique evaluation.
+    ``batched`` prefetches each hill-climb round's two neighbours as
+    one list and replays the sequential accept logic over their
+    scores.  The round evaluates both whatever it accepts, so no
+    prefetched score goes unused, and the accepted path, trace and
+    evaluation count are the unbatched descent's.  ``batched=False``
+    reproduces the sequential objective protocol: every yield is a
+    one-config list, one per unique evaluation.
     """
-    if speculation not in ("deep", "rounds"):
-        raise ValueError(
-            f"unknown speculation depth {speculation!r}; "
-            "choose 'deep' or 'rounds'"
-        )
-    deep = batched and speculation == "deep"
     cache: dict[int, float] = {}
     pending: dict[int, float] = {}
     trace: list[OptimizerTrace] = []
@@ -137,39 +136,13 @@ def descent_machine(
     current = start
     best_score = yield from evaluate(current)
     for _ in range(passes):
-        # Sweep-level speculation: both first-step neighbours of every
-        # field, in one engine batch, assuming no field moves.  Early
-        # fields always hit; later ones only miss if an earlier field
-        # accepted a move this sweep.
-        if deep:
-            sweep_candidates: list[ConfigWord] = []
-            for name, width in fields:
-                code_max = (1 << width) - 1
-                sweep_candidates.extend(
-                    neighbours(current, name, code_max, step_schedule(width)[0])
-                )
-            yield from prefetch(sweep_candidates)
         for name, width in fields:
             code_max = (1 << width) - 1
-            if deep:
-                # Field-level speculation: both neighbours at every
-                # step size of this field's schedule, in one batch.  A
-                # field that accepts no move (the common case once the
-                # descent settles) consumes the whole batch; an
-                # accepted move re-bases the smaller steps and their
-                # speculated probes are dropped.
-                field_candidates: list[ConfigWord] = []
-                for step in step_schedule(width):
-                    field_candidates.extend(
-                        neighbours(current, name, code_max, step)
-                    )
-                yield from prefetch(field_candidates)
             for step in step_schedule(width):
                 improved = True
                 while improved:
                     improved = False
                     code = getattr(current, name)
-                    # Round-level speculation: this round's two probes.
                     yield from prefetch(neighbours(current, name, code_max, step))
                     for candidate in (code - step, code + step):
                         if not 0 <= candidate <= code_max:
@@ -195,7 +168,6 @@ def coordinate_descent(
     passes: int = 2,
     initial_step: int = 8,
     batch_objective: Callable[[list[ConfigWord]], list[float]] | None = None,
-    speculation: str = "deep",
 ) -> CoordinateDescentResult:
     """Maximise ``objective`` over the given configuration fields.
 
@@ -208,43 +180,17 @@ def coordinate_descent(
     This is the in-process driver over :func:`descent_machine` — it
     feeds every yielded candidate list to ``batch_objective`` (or, in
     sequential mode, each single candidate to ``objective``) and sends
-    the scores back until the machine returns.
-
-    Speculative batched probing
-    ---------------------------
-
-    The descent is accept-dependent — each probe's starting point is
-    wherever the previous accepts moved — but the probes themselves can
-    be *speculated*: when ``batch_objective`` (which must return, per
-    configuration, exactly the value ``objective`` would) is given,
-    candidate probes are prefetched in batched submissions and the
-    sequential accept logic replays over the prefetched values, so the
-    accepted path, the final configuration, the evaluation count and
-    the trace (order included) are exactly those of the sequential
-    descent.  Speculated probes the replay never consumes are simply
-    dropped — they cost engine throughput, not correctness, and are not
-    counted as evaluations; mispredicted probes (a config the replay
-    wants but no speculation covered) fall back to a batch of one.
-
-    ``speculation`` sets the depth, trading batch width for waste:
-
-    * ``"rounds"`` — each hill-climb round prefetches its two
-      neighbours as one batch.  Both are always consumed (the round
-      evaluates both whatever gets accepted), so this depth never
-      wastes a probe; it halves the number of engine submissions.
-    * ``"deep"`` — additionally, each sweep prefetches both first-step
-      neighbours of *every* field, and each field entry prefetches
-      both neighbours at *every* step size, speculating that nothing
-      moves.  Settled descents consume whole batches (wide enough for
-      the engine's threaded key axis); accepted moves re-base the
-      remaining probes and drop their speculations.
+    the scores back until the machine returns.  ``batch_objective``
+    must return, per configuration, exactly the value ``objective``
+    would; it then scores each round's two neighbours in one call, and
+    the result (trace order included) is exactly the sequential
+    descent's.
     """
     machine = descent_machine(
         start,
         fields=fields,
         passes=passes,
         initial_step=initial_step,
-        speculation=speculation,
         batched=batch_objective is not None,
     )
     try:

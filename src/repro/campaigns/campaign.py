@@ -203,7 +203,7 @@ def provision_fleet(
     """Fleet-calibrate ``triples`` into ``store`` in one lockstep pass.
 
     Builds each missing triple's die and runs one
-    :meth:`~repro.calibration.fleet.FleetCalibrator.calibrate_fleet`
+    :meth:`~repro.calibration.procedure.Calibrator.calibrate_fleet`
     over the whole (possibly mixed-lot, mixed-standard) fleet with the
     design-house default calibrator.  Results stream into the store as
     each die's machine completes, with ``"fleet"``-tagged audit events
@@ -217,7 +217,7 @@ def provision_fleet(
 
     Returns the number of triples actually computed.
     """
-    from repro.calibration.fleet import FleetCalibrator
+    from repro.calibration.procedure import Calibrator
 
     if not isinstance(store, CalibrationStore):
         store = CalibrationStore(store)
@@ -239,7 +239,7 @@ def provision_fleet(
     if backend is not None:
         set_default_backend(backend)
     try:
-        FleetCalibrator().calibrate_fleet(
+        Calibrator().calibrate_fleet(
             chips,
             standards,
             on_result=lambda die, result: store.put(

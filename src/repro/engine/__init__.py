@@ -130,7 +130,7 @@ fs/4 mixer and decimators in one pass per batch), and the
 ``measure_*_batch``/oracle sweep primitives take their spectra through
 :func:`~repro.dsp.spectrum.periodogram_batch` (one windowed FFT over
 the whole matrix).  Both are bit-identical per key to the scalar
-paths; the calibration layer's speculative batched coordinate descent
+paths; the calibration layer's batched coordinate descent
 (:func:`~repro.calibration.optimizer.coordinate_descent` with
 ``batch_objective``) builds on the same primitives.
 """

@@ -216,8 +216,7 @@ def usable_cpus() -> int:
     """CPUs this process may run on (affinity-aware where supported).
 
     The sizing signal for everything that scales with the kernel's
-    threaded key axis: the calibrator's speculation depth, the
-    benchmark gates, the BENCH report.
+    threaded key axis: the benchmark gates and the BENCH report.
     """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))

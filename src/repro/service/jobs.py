@@ -117,6 +117,17 @@ def validate_worker_count(value, name: str = "n_workers") -> int:
     return value
 
 
+def validate_backend(backend) -> None:
+    """Reject an unknown engine backend up front (None keeps the
+    default engine's)."""
+    from repro.engine import BACKENDS
+
+    if backend is not None and backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; choose from {', '.join(BACKENDS)}"
+        )
+
+
 def default_worker_count() -> int:
     """Resolve the service-wide default worker count from
     ``REPRO_SERVICE_WORKERS`` (unset or empty means 1, in-process)."""
@@ -230,6 +241,7 @@ class CampaignJob:
         """Reject malformed jobs up front, before any work happens."""
         if self.n_workers is not None:
             validate_worker_count(self.n_workers)
+        validate_backend(self.backend)
 
 
 @dataclass(frozen=True)
@@ -249,16 +261,35 @@ class ProvisioningJob:
     n_workers: int | None = None
 
     def validate(self) -> None:
+        from repro.receiver.standards import STANDARDS
+
         if self.calibration_store is None:
             raise ValueError("ProvisioningJob requires a calibration_store")
+        indices = sorted(std.index for std in STANDARDS)
         for triple in self.triples:
-            if len(tuple(triple)) != 3:
+            triple = tuple(triple)
+            if len(triple) != 3 or not all(
+                isinstance(value, int) and not isinstance(value, bool)
+                for value in triple
+            ):
                 raise ValueError(
                     f"provisioning triples are (lot_seed, chip_id, "
-                    f"standard_index), got {triple!r}"
+                    f"standard_index) integers, got {triple!r}"
+                )
+            lot_seed, chip_id, standard_index = triple
+            if lot_seed < 0 or chip_id < 0:
+                raise ValueError(
+                    f"provisioning triple {triple!r}: lot_seed and chip_id "
+                    f"must be non-negative integers"
+                )
+            if standard_index not in indices:
+                raise ValueError(
+                    f"provisioning triple {triple!r}: unknown standard "
+                    f"index {standard_index}; choose from {indices}"
                 )
         if self.n_workers is not None:
             validate_worker_count(self.n_workers)
+        validate_backend(self.backend)
 
 
 @dataclass(frozen=True)
@@ -271,6 +302,7 @@ class ExperimentJob:
     backend: str | None = None
 
     def validate(self) -> None:
+        validate_backend(self.backend)
         if self.names:
             from repro.experiments.runner import REGISTRY
 

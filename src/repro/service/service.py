@@ -526,16 +526,24 @@ class FoundryService:
     def _experiment_events(self, job):
         from repro.experiments.runner import REGISTRY
 
+        engine = get_default_engine()
+        previous_backend = engine.backend
         if job.backend is not None:
             set_default_backend(job.backend)
-        selected = list(REGISTRY.values())
-        if job.names:
-            selected = [spec for spec in selected if spec.name in job.names]
-        results = []
-        for position, spec in enumerate(selected):
-            start = time.perf_counter()
-            result = spec.execute(full=job.full)
-            seconds = time.perf_counter() - start
-            results.append(result)
-            yield TaskEvent("experiment", spec.name, position, result, seconds)
-        return results
+        try:
+            selected = list(REGISTRY.values())
+            if job.names:
+                selected = [
+                    spec for spec in selected if spec.name in job.names
+                ]
+            results = []
+            for position, spec in enumerate(selected):
+                start = time.perf_counter()
+                result = spec.execute(full=job.full)
+                seconds = time.perf_counter() - start
+                results.append(result)
+                yield TaskEvent("experiment", spec.name, position, result,
+                                seconds)
+            return results
+        finally:
+            engine.backend = previous_backend

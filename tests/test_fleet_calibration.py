@@ -79,10 +79,15 @@ class TestFleetMatchesSequential:
         engine.backend = backend
         try:
             fleet = FleetCalibrator(**CAL_KW).calibrate_fleet(chips, standards)
+            # calibrate() is a lot of one on the same lockstep driver.
+            single = [
+                Calibrator(**CAL_KW).calibrate(chip, standard)
+                for chip, standard in zip(chips, standards)
+            ]
         finally:
             engine.backend = previous
         assert len(fleet) == n_dies
-        for die, result in enumerate(fleet):
+        for die, result in [*enumerate(fleet), *enumerate(single)]:
             expected = sequential_baseline(die, STANDARD_PATTERN[die])
             # The secret key, bit for bit.
             assert result.config == expected.config

@@ -402,6 +402,17 @@ class TestHTTPFacade:
             assert reply["kind"] == "SchemaError"
             assert needle in reply["error"]
 
+    def test_unknown_backend_is_400(self, frontend):
+        for job in (
+            {**CAMPAIGN_JSON, "backend": "bogus"},
+            {"type": "experiment", "names": ["tab-keys"], "backend": "bogus"},
+        ):
+            status, reply = http_request(
+                frontend.address, "POST", "/v1/jobs", {"job": job}
+            )
+            assert status == 400, (job, reply)
+            assert "auto, reference, vectorized" in reply["error"]
+
     def test_unknown_job_and_route_are_404(self, frontend):
         status, reply = http_request(frontend.address, "GET", "/v1/jobs/nope")
         assert status == 404

@@ -2,6 +2,7 @@
 journal resume (including after a hard SIGKILL), provisioning gating,
 and up-front validation of worker counts and job payloads."""
 
+import dataclasses
 import multiprocessing
 import os
 import pickle
@@ -19,7 +20,7 @@ from repro.campaigns import (
     ThreatScenario,
     run_campaign,
 )
-from repro.engine import CalibrationStore
+from repro.engine import CalibrationStore, get_default_engine
 from repro.service import (
     CampaignJob,
     ExperimentJob,
@@ -195,6 +196,43 @@ class TestJobLifecycle:
     def test_experiment_job_validates_names_at_submit(self):
         with pytest.raises(KeyError, match="unknown experiment"):
             FoundryService().submit(ExperimentJob(names=("fig99",)))
+
+
+class TestSubmitValidation:
+    """Job backends and provisioning triples are refused at submit,
+    before the job is PENDING, with the valid choices in the error."""
+
+    @pytest.mark.parametrize(
+        "job",
+        [
+            CampaignJob(cells=tuple(oracle_cells(1)), backend="bogus"),
+            ExperimentJob(names=("tab-keys",), backend="bogus"),
+            ProvisioningJob(
+                triples=((2020, 0, 0),), calibration_store="store",
+                backend="bogus",
+            ),
+        ],
+        ids=["campaign", "experiment", "provisioning"],
+    )
+    def test_unknown_backend_rejected(self, job):
+        with pytest.raises(ValueError, match="auto, reference, vectorized"):
+            FoundryService().submit(job)
+
+    @pytest.mark.parametrize(
+        "triple, needle",
+        [
+            ((2020, 0, 99), r"unknown standard index 99; choose from \[0,"),
+            ((2020, "0", 0), "integers"),
+            ((2020, 0, True), "integers"),
+            ((2020, 0), "integers"),
+            ((2020, -1, 0), "non-negative"),
+        ],
+        ids=["standard", "str-field", "bool-field", "short", "negative"],
+    )
+    def test_bad_provisioning_triple_rejected(self, triple, needle):
+        job = ProvisioningJob(triples=(triple,), calibration_store="store")
+        with pytest.raises(ValueError, match=needle):
+            FoundryService().submit(job)
 
 
 class TestJobFleetReaped:
@@ -468,3 +506,52 @@ class TestExperimentJob:
             e.payload.experiment_id for e in events
         ]
         assert handle.status() is JobStatus.COMPLETED
+
+
+class TestExperimentBackendRestored:
+    """An ExperimentJob's backend applies to its own run only: the
+    default engine gets its previous backend back whether the job
+    completes, fails or is cancelled."""
+
+    def backends(self):
+        previous = get_default_engine().backend
+        return previous, "vectorized" if previous == "reference" else "reference"
+
+    def test_completed_job(self):
+        previous, other = self.backends()
+        FoundryService().submit(
+            ExperimentJob(names=("tab-keys",), backend=other)
+        ).result()
+        assert get_default_engine().backend == previous
+
+    def test_failed_job(self, monkeypatch):
+        from repro.experiments.runner import REGISTRY
+
+        previous, other = self.backends()
+        seen = []
+
+        def explode(**kwargs):
+            seen.append(get_default_engine().backend)
+            raise RuntimeError("probe card slipped")
+
+        monkeypatch.setitem(
+            REGISTRY, "tab-keys",
+            dataclasses.replace(REGISTRY["tab-keys"], run=explode),
+        )
+        handle = FoundryService().submit(
+            ExperimentJob(names=("tab-keys",), backend=other)
+        )
+        with pytest.raises(JobFailed, match="probe card"):
+            handle.result()
+        assert seen == [other]
+        assert get_default_engine().backend == previous
+
+    def test_cancelled_job(self):
+        previous, other = self.backends()
+        handle = FoundryService().submit(
+            ExperimentJob(names=("tab-attack", "tab-keys"), backend=other)
+        )
+        next(iter(handle.stream()))
+        assert get_default_engine().backend == other
+        assert handle.cancel() is True
+        assert get_default_engine().backend == previous
