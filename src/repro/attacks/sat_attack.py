@@ -57,8 +57,9 @@ class SatAttack:
     _primary_inputs: list[str] = field(init=False)
 
     def __post_init__(self) -> None:
+        key_inputs = {f"key{i}" for i in range(self.locked.key_bits)}
         self._primary_inputs = [
-            net for net in self.locked.netlist.inputs if not net.startswith("key")
+            net for net in self.locked.netlist.inputs if net not in key_inputs
         ]
 
     def run(self) -> SatAttackResult:

@@ -64,6 +64,10 @@ def lock_netlist(
 
     Returns:
         The locked netlist with its correct key.
+
+    Raises:
+        ValueError: Too many key bits, or ``original`` already has a
+            net named like one of the key inputs ``key0 ...``.
     """
     lockable = list(original.gates)
     if n_key_bits > len(lockable):
@@ -71,6 +75,12 @@ def lock_netlist(
             f"cannot insert {n_key_bits} key gates into "
             f"{len(lockable)} lockable nets"
         )
+    nets = original.graph()
+    for i in range(n_key_bits):
+        if f"key{i}" in nets:
+            raise ValueError(
+                f"{original.name}: net 'key{i}' collides with key input {i}"
+            )
     locked = original.copy(new_name=f"{original.name}_locked")
     chosen = rng.choice(len(lockable), size=n_key_bits, replace=False)
     correct_key = 0

@@ -1,6 +1,8 @@
 """Attack-suite tests: cost model, oracle, brute force, optimisation,
 transfer, removal, SAT."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from repro.attacks import (
 )
 from repro.baselines import MemristorBiasLock, MixLock
 from repro.locking import ProgrammabilityLock
-from repro.logic import lock_netlist, parity_tree, ripple_adder
+from repro.logic import Netlist, lock_netlist, parity_tree, ripple_adder
 
 
 class TestCostModel:
@@ -254,3 +256,19 @@ class TestSatAttack:
         scheme = MixLock(n_key_bits=6)
         result = scheme.run_sat_attack()
         assert scheme.unlocks(result.key)
+
+
+class TestSatAttackKeyInputs:
+    def test_input_named_like_a_key_is_a_primary_input(self, rng):
+        # Only key0 ... key{key_bits-1} are key inputs; ``keypad`` is a
+        # primary input the distinguishing vectors must drive.
+        original = Netlist("keypad", inputs=["keypad", "a", "b"])
+        original.add_gate("y", "AND", "keypad", "a")
+        original.add_gate("z", "XOR", "y", "b")
+        original.add_gate("w", "OR", "a", "b")
+        original.outputs = ["z", "w"]
+        locked = lock_netlist(original, 2, rng)
+        result = SatAttack(locked=locked, oracle=locked.oracle(original)).run()
+        for bits in itertools.product((0, 1), repeat=3):
+            vec = dict(zip(original.inputs, bits))
+            assert locked.evaluate_with_key(vec, result.key) == original.evaluate(vec)

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.attacks import SatAttack, sat_attack
 from repro.logic import (
     CnfBuilder,
     Gate,
     Netlist,
+    SatResult,
     decimation_controller,
     encode_netlist,
     functional_under_key,
@@ -20,6 +22,7 @@ from repro.logic import (
     sar_optimizer_step,
     solve_cnf,
 )
+from repro.logic.sat import reference_solve
 
 
 class TestGates:
@@ -155,6 +158,19 @@ class TestLocking:
         locked = lock_netlist(parity_tree(4), 3, rng)
         assert sum(1 for n in locked.netlist.inputs if n.startswith("key")) == 3
 
+    @pytest.mark.parametrize("key0_kind", ["input", "gate"])
+    def test_net_named_like_a_key_input_rejected(self, key0_kind, rng):
+        original = Netlist("collide", inputs=["a", "b"])
+        if key0_kind == "input":
+            original.inputs.insert(0, "key0")
+        else:
+            original.add_gate("key0", "OR", "a", "b")
+        original.add_gate("y", "XOR", "key0", "a")
+        original.add_gate("z", "AND", "y", "b")
+        original.outputs = ["z"]
+        with pytest.raises(ValueError, match="'key0'"):
+            lock_netlist(original, 1, rng)
+
 
 class TestCnfAndSat:
     def test_simple_sat(self):
@@ -235,3 +251,119 @@ class TestCnfAndSat:
                 assert any(
                     result.assignment.get(abs(l), False) == (l > 0) for l in clause
                 )
+
+
+def pigeonhole(pigeons: int, holes: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Every pigeon in some hole, no two pigeons sharing one."""
+    b = CnfBuilder()
+    v = {(i, j): b.new_var() for i in range(pigeons) for j in range(holes)}
+    for i in range(pigeons):
+        b.add_clause(*[v[(i, j)] for j in range(holes)])
+    for j in range(holes):
+        for i1 in range(pigeons):
+            for i2 in range(i1 + 1, pigeons):
+                b.add_clause(-v[(i1, j)], -v[(i2, j)])
+    return b.n_vars, b.clauses
+
+
+@st.composite
+def cnfs(draw):
+    """1-16 variables and 0-70 clauses, mostly of 2-4 literals; unit
+    clauses, an occasional empty clause, repeated literals and clauses
+    holding both polarities of a variable all occur."""
+    n_vars = draw(st.integers(min_value=1, max_value=16))
+    # 1..n are the positive literals, n+1..2n the negations of 1..n.
+    literal = st.integers(min_value=1, max_value=2 * n_vars).map(
+        lambda x: x if x <= n_vars else n_vars - x
+    )
+    clauses = []
+    for _ in range(draw(st.integers(min_value=0, max_value=70))):
+        size = draw(st.sampled_from((3, 3, 2, 3, 4, 3, 1, 4, 3, 2)))
+        clause = draw(st.lists(literal, min_size=size, max_size=size))
+        extra = draw(st.sampled_from(("", "", "", "duplicate", "tautology")))
+        if extra == "duplicate":
+            clause.append(clause[-1])
+        elif extra == "tautology":
+            clause.append(-clause[-1])
+        clauses.append(tuple(draw(st.permutations(clause))))
+    if clauses and draw(st.integers(min_value=0, max_value=9)) == 0:
+        clauses.insert(draw(st.integers(min_value=0, max_value=len(clauses))), ())
+    return n_vars, clauses
+
+
+class TestSolverMatchesReference:
+    """``SatSolver`` (watched literals) against ``reference_solve`` (the
+    original clause scan): same satisfiability, decisions and model."""
+
+    @given(cnfs())
+    @settings(max_examples=200, deadline=None)
+    def test_random_cnfs(self, cnf):
+        n_vars, clauses = cnf
+        fast = solve_cnf(n_vars, clauses)
+        slow = reference_solve(n_vars, clauses)
+        assert (fast.satisfiable, fast.decisions, fast.assignment) == (
+            slow.satisfiable,
+            slow.decisions,
+            slow.assignment,
+        )
+
+    @pytest.mark.parametrize(
+        "maker, key_widths",
+        [
+            (lambda: ripple_adder(3), (2, 4)),
+            (lambda: parity_tree(4), (2, 3)),
+            (lambda: magnitude_comparator(3), (2, 4)),
+            (decimation_controller, (2, 4)),
+            (lambda: sar_optimizer_step(3), (2, 4)),
+        ],
+        ids=[
+            "ripple_adder",
+            "parity_tree",
+            "magnitude_comparator",
+            "decimation_controller",
+            "sar_optimizer_step",
+        ],
+    )
+    def test_sat_attack_cnfs(self, maker, key_widths, monkeypatch):
+        recorded = []
+
+        def recording_solve(n_vars, clauses, *args, **kwargs):
+            recorded.append((n_vars, list(clauses)))
+            return solve_cnf(n_vars, clauses, *args, **kwargs)
+
+        monkeypatch.setattr(sat_attack, "solve_cnf", recording_solve)
+        original = maker()
+        for key_bits in key_widths:
+            for seed in (0, 1):
+                locked = lock_netlist(original, key_bits, np.random.default_rng(seed))
+                SatAttack(locked=locked, oracle=locked.oracle(original)).run()
+        assert len(recorded) >= 4 * len(key_widths)
+        for n_vars, clauses in recorded:
+            assert solve_cnf(n_vars, clauses) == reference_solve(n_vars, clauses)
+
+    @pytest.mark.parametrize(
+        "n_vars, clauses, model",
+        [
+            (2, [(1, 1)], {1: True, 2: True}),
+            (3, [(1, 1, 2), (-2,)], {1: True, 2: False, 3: True}),
+        ],
+        ids=["repeat", "repeat-beside-false"],
+    )
+    def test_repeated_literal_is_never_unit(self, n_vars, clauses, model):
+        # Two unassigned occurrences of one literal are not a unit
+        # clause: both solvers decide variable 1 instead of forcing it.
+        expected = SatResult(satisfiable=True, assignment=model, decisions=2)
+        assert solve_cnf(n_vars, clauses) == expected
+        assert reference_solve(n_vars, clauses) == expected
+
+    @pytest.mark.parametrize("solve", [solve_cnf, reference_solve])
+    def test_decision_budget(self, solve):
+        n_vars, clauses = pigeonhole(4, 3)
+        with pytest.raises(RuntimeError, match="decision budget"):
+            solve(n_vars, clauses, max_decisions=7)
+        result = solve(n_vars, clauses, max_decisions=8)
+        assert result == SatResult(satisfiable=False, decisions=8)
+
+    @pytest.mark.parametrize("solve", [solve_cnf, reference_solve])
+    def test_empty_clause_is_unsat_without_decisions(self, solve):
+        assert solve(3, [(1, 2), (), (3,)]) == SatResult(satisfiable=False)
