@@ -103,9 +103,14 @@ stimulus waveform and the drawn measurement records (VGLNA output and
 noise/dither draws — pure functions of chip, stimulus, time grid, seed
 and the two input-path config fields) across the keys of one batch; a
 session driver may carry the latter across submissions via
-``run_multi(..., noise_cache=)``, as the fleet calibrator does.  All
-of these are deterministic value caches — hitting them cannot change
-any result.
+``run_multi(..., noise_cache=)``, as the fleet calibrator does.  One
+level up, an in-process ``ExperimentJob`` attaches a job-scoped
+``measurement_memo`` of finished modulator-SNR measurements, keyed by
+die content, key, standard, power, record length, seed and substeps
+(see :func:`~repro.receiver.performance.measure_modulator_snr_batch`);
+it exists only while such a job is open
+(:meth:`SimulationEngine.memoising`).  All of these are deterministic
+value caches — hitting them cannot change any result.
 ``clear_caches()`` (engine method and module-level hook for the default
 engine) empties the persistent ones for tests and long-running sweeps.
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -65,6 +66,13 @@ class SimulationEngine:
     calibration_store: CalibrationStore | None = None
     calibration_cache: BoundedCache = field(init=False, repr=False)
     stats: EngineStats = field(default_factory=EngineStats, init=False)
+    #: Finished modulator-SNR measurements, keyed by everything that
+    #: determines them (see
+    #: :func:`~repro.receiver.performance.measure_modulator_snr_batch`).
+    #: Attached by :meth:`memoising` (an in-process ``ExperimentJob``
+    #: runs inside it); None otherwise.
+    measurement_memo: dict | None = field(default=None, init=False, repr=False)
+    _memo_blocks: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -256,6 +264,27 @@ class SimulationEngine:
                 return store.get_or_set(key, inner)
 
         return self.calibration_cache.get_or_set(key, factory)
+
+    @contextmanager
+    def memoising(self):
+        """Attach one measurement memo for a block.
+
+        Blocks nest and may interleave, as the generators that drive
+        in-process jobs do: the first block to open attaches an empty
+        memo, every block open with it shares it, and the last to close
+        detaches it — on completion, failure or cancellation alike — so
+        no memo outlives the blocks.  Like the job's backend switch, the
+        blocks belong to the one thread that drives in-process jobs.
+        """
+        if self._memo_blocks == 0:
+            self.measurement_memo = {}
+        self._memo_blocks += 1
+        try:
+            yield
+        finally:
+            self._memo_blocks -= 1
+            if self._memo_blocks == 0:
+                self.measurement_memo = None
 
     def clear_caches(self) -> None:
         """Test hook: drop cached calibrations (the attached store's

@@ -72,6 +72,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -276,12 +277,15 @@ def blas_threads() -> dict[str, int]:
 def pin_blas_threads() -> None:
     """Set every loaded OpenBLAS copy to one thread.
 
-    Every fleet worker calls this first.  N fleet processes already
-    cover N cores, while each OpenBLAS copy sizes its pool to every
-    core, and the helper thread scipy's ``expm`` (in
+    Every fleet worker calls this first, for its whole life.  N fleet
+    processes already cover N cores, while each OpenBLAS copy sizes its
+    pool to every core, and the helper thread scipy's ``expm`` (in
     :func:`~repro.engine.plan.discretise_tank`) wakes keeps spinning on
-    the core the next worker needs.  The kernel's own thread team is a
-    separate axis (``REPRO_ENGINE_THREADS``) and is left alone.
+    the core the next worker needs.  In-process jobs pin for their own
+    length instead (:func:`blas_pinned`): there the spinning helper
+    takes the core the kernel's second thread needs.  The kernel's own
+    thread team is a separate axis (``REPRO_ENGINE_THREADS``) and is
+    left alone.
 
     Exactness: the pool size only decides how OpenBLAS divides a call
     between threads — over independent output blocks and right-hand-side
@@ -290,13 +294,52 @@ def pin_blas_threads() -> None:
     ``discretise_tank``; the short dots elsewhere stay below OpenBLAS's
     threading thresholds).  Each output element is therefore the same
     floating-point operations in the same order at any pool size, so
-    fleet reports stay byte-identical to in-process runs, whose pools
-    are left alone.  The daemon and service differential guards
-    (``tests/test_daemon.py``, ``tests/test_service.py``,
-    ``tests/test_subtasks.py``) hold that, unedited.
+    pinned and unpinned runs are byte-identical.  The daemon and
+    service differential guards (``tests/test_daemon.py``,
+    ``tests/test_service.py``, ``tests/test_subtasks.py``) hold fleet
+    workers against in-process runs, and ``TestFleetBlasPinned`` holds
+    pinned pools against the unpinned test process, all unedited.
     """
     for _, set_threads, _ in _loaded_openblas():
         set_threads(1)
+
+
+#: Open :func:`blas_pinned` blocks, and each pinned copy's count from
+#: before the first of them.
+_pin_depth = 0
+_pinned_from: list[tuple] = []
+
+
+@contextmanager
+def blas_pinned():
+    """Pin every loaded OpenBLAS copy to one thread for a block.
+
+    The service's in-process jobs run inside one (see
+    :func:`pin_blas_threads` for why, and for why it cannot change a
+    result).  Blocks nest and may interleave, as the generators that
+    drive jobs do: the first block to open records each copy's thread
+    count and pins it, and the last to close restores the recorded
+    counts — on completion, failure or cancellation alike.  The thread
+    counts are process state, so, like the job's backend switch, the
+    blocks belong to the one thread that drives in-process jobs; no
+    lock guards them, since a fleet worker forked while another thread
+    held one would inherit it held.
+    """
+    global _pin_depth, _pinned_from
+    if _pin_depth == 0:
+        _pinned_from = [
+            (set_threads, get()) for _, set_threads, get in _loaded_openblas()
+        ]
+        for set_threads, _ in _pinned_from:
+            set_threads(1)
+    _pin_depth += 1
+    try:
+        yield
+    finally:
+        _pin_depth -= 1
+        if _pin_depth == 0:
+            for set_threads, count in _pinned_from:
+                set_threads(count)
 
 
 def kernel_threads() -> int:

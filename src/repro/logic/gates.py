@@ -9,8 +9,7 @@ with named nets, evaluated in topological order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from graphlib import CycleError, TopologicalSorter
 
 #: Supported gate types and their evaluation functions.
 GATE_TYPES = ("AND", "OR", "NAND", "NOR", "XOR", "XNOR", "NOT", "BUF", "MUX")
@@ -89,20 +88,27 @@ class Netlist:
         self.gates[output] = gate
         return gate
 
-    def graph(self) -> nx.DiGraph:
-        """The net-dependency DAG (edges input -> output)."""
-        g = nx.DiGraph()
-        g.add_nodes_from(self.inputs)
+    def graph(self) -> dict[str, tuple[str, ...]]:
+        """The net-dependency DAG as ``{net: predecessor nets}``.
+
+        Keys are every net: the primary inputs, then each gate's output
+        in gate order (its inputs deduplicated in first-use order),
+        then any undriven net, which :meth:`validate` rejects.
+        """
+        g: dict[str, tuple[str, ...]] = {net: () for net in self.inputs}
+        for gate in self.gates.values():
+            g[gate.output] = tuple(dict.fromkeys(gate.inputs))
         for gate in self.gates.values():
             for src in gate.inputs:
-                g.add_edge(src, gate.output)
+                g.setdefault(src, ())
         return g
 
     def validate(self) -> None:
         """Check that the netlist is a well-formed combinational DAG."""
-        g = self.graph()
-        if not nx.is_directed_acyclic_graph(g):
-            raise ValueError(f"{self.name}: combinational loop detected")
+        try:
+            TopologicalSorter(self.graph()).prepare()
+        except CycleError:
+            raise ValueError(f"{self.name}: combinational loop detected") from None
         driven = set(self.inputs) | set(self.gates)
         for gate in self.gates.values():
             for src in gate.inputs:
@@ -113,8 +119,15 @@ class Netlist:
                 raise ValueError(f"{self.name}: output {out!r} undriven")
 
     def topological_nets(self) -> list[str]:
-        """Gate outputs in a valid evaluation order."""
-        order = nx.topological_sort(self.graph())
+        """Gate outputs in a valid evaluation order.
+
+        The order is pinned, because the CNF encoder numbers variables
+        in it: Kahn's algorithm one generation at a time, starting from
+        the in-degree-0 nets in first-seen order and releasing each
+        net's consumers in gate order.  ``graph()``'s insertion order
+        gives :class:`graphlib.TopologicalSorter` exactly that walk.
+        """
+        order = TopologicalSorter(self.graph()).static_order()
         return [net for net in order if net in self.gates]
 
     def evaluate(self, input_values: dict[str, int]) -> dict[str, int]:

@@ -12,6 +12,7 @@ engine.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 
 from repro.blocks import (
@@ -45,6 +46,7 @@ class Chip:
     variations: ChipVariations = field(default_factory=typical_chip)
     _blocks: ModulatorBlocks | None = field(default=None, init=False, repr=False)
     _disc_cache: BoundedCache | None = field(default=None, init=False, repr=False)
+    _content_key: bytes | None = field(default=None, init=False, repr=False)
 
     @property
     def chip_id(self) -> int:
@@ -71,6 +73,18 @@ class Chip:
                 bias_global_step=d.bias_global_step,
             )
         return self._blocks
+
+    @property
+    def content_key(self) -> bytes:
+        """This die by content: its pickled design and variation draw.
+
+        Two :class:`Chip` objects built from the same ``(lot, id)`` share
+        it, so memos keyed on it survive rebuilding a chip.  Pickling is
+        lossless, so equal keys mean equal contents.
+        """
+        if self._content_key is None:
+            self._content_key = pickle.dumps((self.design, self.variations))
+        return self._content_key
 
     @property
     def discretisation_cache(self) -> BoundedCache:

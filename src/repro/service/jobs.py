@@ -303,6 +303,11 @@ class ExperimentJob:
 
     def validate(self) -> None:
         validate_backend(self.backend)
+        if self.names is not None and not self.names:
+            raise ValueError(
+                "ExperimentJob names is empty; omit it (None) to run "
+                "the whole registry"
+            )
         if self.names:
             from repro.experiments.runner import REGISTRY
 

@@ -18,7 +18,9 @@ starts) and returns a :class:`JobHandle`:
   everything already journaled.
 
 The handle's consumer drives the job.  A job with one worker runs
-in-process — the ground truth every differential compares against; a
+in-process — the ground truth every differential compares against —
+with every loaded OpenBLAS copy pinned to one thread for its length
+(:func:`~repro.engine.native.blas_pinned`); a
 sharded job runs on a :class:`~repro.service.scheduler.WorkerFleet`
 private to the job, whose workers fork before its router thread
 starts, so the initial team forks from a single-threaded parent — the
@@ -42,6 +44,7 @@ import time
 from contextlib import contextmanager
 
 from repro.engine import CalibrationStore, get_default_engine, set_default_backend
+from repro.engine.native import blas_pinned
 from repro.service.jobs import (
     CampaignJob,
     ExperimentJob,
@@ -410,13 +413,15 @@ class FoundryService:
         if store_dir is not None:
             engine.calibration_store = CalibrationStore(store_dir)
         try:
-            for index, cell in todo:
-                start = time.perf_counter()
-                report = cell.execute()
-                seconds = time.perf_counter() - start
-                if journal is not None:
-                    journal.put_cell(index, cell.label(), report, seconds)
-                yield TaskEvent("cell", cell.label(), index, report, seconds)
+            with blas_pinned():
+                for index, cell in todo:
+                    start = time.perf_counter()
+                    report = cell.execute()
+                    seconds = time.perf_counter() - start
+                    if journal is not None:
+                        journal.put_cell(index, cell.label(), report, seconds)
+                    yield TaskEvent("cell", cell.label(), index, report,
+                                    seconds)
         finally:
             engine.backend = previous_backend
             engine.calibration_store = previous_store
@@ -493,7 +498,8 @@ class FoundryService:
             store.clear_lock(triple)  # killed-run debris; see campaign path
         if n_workers == 1 or len(missing) <= 1:
             start = time.perf_counter()
-            provision_fleet(missing, store, backend=job.backend)
+            with blas_pinned():
+                provision_fleet(missing, store, backend=job.backend)
             yield TaskEvent(
                 "provision",
                 f"fleet of {len(missing)} dies",
@@ -524,6 +530,13 @@ class FoundryService:
         return lambda: self._experiment_events(job)
 
     def _experiment_events(self, job):
+        """Run the registry in-process, with one measurement memo for
+        the whole run: Figs. 7-12 and the attack-cost table measure one
+        die against one key population, and each measurement is then
+        simulated once (see
+        :func:`~repro.receiver.performance.measure_modulator_snr_batch`).
+        A nested or interleaved job shares the open memo
+        (:meth:`~repro.engine.SimulationEngine.memoising`)."""
         from repro.experiments.runner import REGISTRY
 
         engine = get_default_engine()
@@ -537,13 +550,14 @@ class FoundryService:
                     spec for spec in selected if spec.name in job.names
                 ]
             results = []
-            for position, spec in enumerate(selected):
-                start = time.perf_counter()
-                result = spec.execute(full=job.full)
-                seconds = time.perf_counter() - start
-                results.append(result)
-                yield TaskEvent("experiment", spec.name, position, result,
-                                seconds)
+            with engine.memoising(), blas_pinned():
+                for position, spec in enumerate(selected):
+                    start = time.perf_counter()
+                    result = spec.execute(full=job.full)
+                    seconds = time.perf_counter() - start
+                    results.append(result)
+                    yield TaskEvent("experiment", spec.name, position,
+                                    result, seconds)
             return results
         finally:
             engine.backend = previous_backend

@@ -413,6 +413,15 @@ class TestHTTPFacade:
             assert status == 400, (job, reply)
             assert "auto, reference, vectorized" in reply["error"]
 
+    def test_empty_experiment_filter_is_400(self, frontend):
+        # An empty filter is refused, not read as "the whole registry".
+        status, reply = http_request(
+            frontend.address, "POST", "/v1/jobs",
+            {"job": {"type": "experiment", "names": []}},
+        )
+        assert status == 400, reply
+        assert "omit it" in reply["error"]
+
     def test_unknown_job_and_route_are_404(self, frontend):
         status, reply = http_request(frontend.address, "GET", "/v1/jobs/nope")
         assert status == 404

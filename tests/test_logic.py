@@ -1,12 +1,18 @@
 """Logic substrate tests: netlists, bench circuits, locking, CNF, SAT."""
 
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.attacks import SatAttack, sat_attack
+from repro.baselines.calibration_lock import CalibrationLoopLock
+from repro.baselines.mixlock import MixLock
 from repro.logic import (
     CnfBuilder,
     Gate,
@@ -135,6 +141,78 @@ class TestBenchCircuits:
         out = net.evaluate(vec)
         assert out["next3"] == 0  # cleared
         assert out["next2"] == 1
+
+
+#: ``topological_nets()`` per circuit as ``(length, sha256 prefix of
+#: the space-joined order)``, recorded from the networkx sort that
+#: ``Netlist`` used before graphlib.  The CNF encoder numbers its
+#: variables in this order, so every SAT-attack run depends on it.
+RECORDED_ORDERS = {
+    "adder4": (18, "226cdde2066df5a8"),
+    "adder4/lock3-0": (21, "d298628a7b01e524"),
+    "adder4/lock6-1": (24, "cc0b67437da0feea"),
+    "comparator4": (18, "54a71c51b72ffc8f"),
+    "comparator4/lock3-0": (21, "6f5e23fbc1f311b6"),
+    "comparator4/lock6-1": (24, "9754c24c86b7159e"),
+    "parity8": (7, "6d17a525e2c88fda"),
+    "parity8/lock3-0": (10, "5a12398bc03ffdd6"),
+    "parity8/lock6-1": (13, "fdf7bc56c9a9cb60"),
+    "decimation": (14, "440a3d69d319e427"),
+    "decimation/lock3-0": (17, "3307d67ee5739bef"),
+    "decimation/lock6-1": (20, "76773287882cf4e4"),
+    "sar6": (25, "208492a5e9bd0357"),
+    "sar6/lock3-0": (28, "a6edbea4f6652c46"),
+    "sar6/lock6-1": (31, "702500801e73b64a"),
+    "mixlock/6": (20, "218912ed40ee0185"),
+    "mixlock/8": (22, "8eec468eefb9f49a"),
+    "mixlock/10": (24, "5478a57163a14386"),
+    "calibration-lock/6": (31, "5d15eec82e1577d4"),
+    "calibration-lock/8": (33, "5b27fd9ff4c5f58f"),
+    "calibration-lock/10": (35, "7b7e8c690fd5ebe9"),
+}
+
+
+def recorded_circuit(name: str) -> Netlist:
+    """The netlist behind a :data:`RECORDED_ORDERS` entry."""
+    base, _, variant = name.partition("/")
+    if base in ("mixlock", "calibration-lock"):
+        scheme = MixLock if base == "mixlock" else CalibrationLoopLock
+        return scheme(n_key_bits=int(variant)).locked.netlist
+    netlist = {
+        "adder4": lambda: ripple_adder(4),
+        "comparator4": lambda: magnitude_comparator(4),
+        "parity8": lambda: parity_tree(8),
+        "decimation": decimation_controller,
+        "sar6": lambda: sar_optimizer_step(6),
+    }[base]()
+    if not variant:
+        return netlist
+    bits, seed = variant.removeprefix("lock").split("-")
+    return lock_netlist(
+        netlist, int(bits), np.random.default_rng(int(seed))
+    ).netlist
+
+
+class TestTopologicalOrder:
+    @pytest.mark.parametrize("name", sorted(RECORDED_ORDERS))
+    def test_order_matches_the_recorded_one(self, name):
+        order = recorded_circuit(name).topological_nets()
+        digest = hashlib.sha256(" ".join(order).encode()).hexdigest()[:16]
+        assert (len(order), digest) == RECORDED_ORDERS[name]
+
+    def test_service_and_runner_imports_load_no_networkx(self):
+        env = dict(os.environ)
+        inherited = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = "src" + (os.pathsep + inherited if inherited else "")
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.service, repro.experiments.runner; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'networkx'))"],
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert probe.stdout.strip() == "[]"
 
 
 class TestLocking:

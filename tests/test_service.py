@@ -197,6 +197,11 @@ class TestJobLifecycle:
         with pytest.raises(KeyError, match="unknown experiment"):
             FoundryService().submit(ExperimentJob(names=("fig99",)))
 
+    def test_empty_experiment_filter_rejected_at_submit(self):
+        # An empty filter is refused, not read as "the whole registry".
+        with pytest.raises(ValueError, match="omit it"):
+            FoundryService().submit(ExperimentJob(names=()))
+
 
 class TestSubmitValidation:
     """Job backends and provisioning triples are refused at submit,
@@ -332,6 +337,113 @@ class TestFleetBlasPinned:
         assert worker == {path: 1 for path in parent}
         assert blas_threads() == parent
         assert tank == tank_discretisation_bytes()
+
+
+class TestInProcessJobsPinBlas:
+    """An in-process job runs with every loaded OpenBLAS copy on one
+    thread, and each copy gets its previous count back whether the job
+    completes, fails or is cancelled."""
+
+    def submit(self, kind, fail, monkeypatch, tmp_path):
+        """Submit a two-task job of ``kind`` (one task for a
+        provisioning pass) whose tasks record the OpenBLAS thread
+        counts they see; returns ``(handle, seen)``."""
+        from repro.campaigns import campaign
+        from repro.engine.native import blas_threads
+        from repro.experiments.common import ExperimentResult
+        from repro.experiments.runner import REGISTRY
+
+        seen = []
+
+        def probe(*args, **kwargs):
+            seen.append(blas_threads())
+            if fail:
+                raise RuntimeError("probe card slipped")
+            return ExperimentResult("probe", "probe", [])
+
+        if kind == "experiment":
+            for name in ("tab-keys", "tab-ovr"):
+                monkeypatch.setitem(
+                    REGISTRY, name,
+                    dataclasses.replace(REGISTRY[name], run=probe),
+                )
+            job = ExperimentJob(names=("tab-keys", "tab-ovr"))
+        elif kind == "campaign":
+            monkeypatch.setattr(CampaignCell, "execute", probe)
+            job = CampaignJob(cells=tuple(oracle_cells(2)), n_workers=1)
+        else:
+            monkeypatch.setattr(campaign, "provision_fleet", probe)
+            job = ProvisioningJob(
+                triples=((2020, 0, 0), (2020, 1, 0)),
+                calibration_store=str(tmp_path / "store"), n_workers=1,
+            )
+        return FoundryService().submit(job), seen
+
+    @pytest.mark.parametrize("ending", ["completed", "failed", "cancelled"])
+    @pytest.mark.parametrize("kind", ["experiment", "campaign", "provisioning"])
+    def test_pinned_for_the_job_only(self, kind, ending, monkeypatch,
+                                     tmp_path):
+        from repro.engine.native import blas_threads
+
+        before = blas_threads()
+        if not before:
+            pytest.skip("no OpenBLAS loaded in this process")
+        handle, seen = self.submit(
+            kind, ending == "failed", monkeypatch, tmp_path
+        )
+        if ending == "completed":
+            handle.result()
+        elif ending == "failed":
+            with pytest.raises(JobFailed, match="probe card"):
+                handle.result()
+        else:
+            next(iter(handle.stream()))
+            assert handle.cancel() is True
+        assert seen and all(
+            threads == {path: 1 for path in before} for threads in seen
+        )
+        assert blas_threads() == before
+
+    def test_interleaved_jobs_restore_when_the_last_ends(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.engine.native import blas_threads
+
+        before = blas_threads()
+        if not before:
+            pytest.skip("no OpenBLAS loaded in this process")
+        first, _ = self.submit("experiment", False, monkeypatch, tmp_path)
+        second, _ = self.submit("campaign", False, monkeypatch, tmp_path)
+        next(iter(first.stream()))
+        next(iter(second.stream()))
+        first.result()
+        assert blas_threads() == {path: 1 for path in before}
+        second.result()
+        assert blas_threads() == before
+
+    def test_nested_job_restores_the_outer_pin(self, monkeypatch):
+        from repro.engine.native import blas_threads
+        from repro.experiments.runner import REGISTRY
+
+        before = blas_threads()
+        if not before:
+            pytest.skip("no OpenBLAS loaded in this process")
+        seen = []
+
+        def outer(**kwargs):
+            cells = tuple(oracle_cells(1))
+            FoundryService().submit(CampaignJob(cells=cells, n_workers=1)
+                                    ).result()
+            seen.append(blas_threads())
+            return REGISTRY["tab-keys"].execute()
+
+        monkeypatch.setitem(
+            REGISTRY, "tab-ovr",
+            dataclasses.replace(REGISTRY["tab-ovr"], run=outer),
+        )
+        FoundryService().submit(ExperimentJob(names=("tab-ovr",))).result()
+        assert seen == [{path: 1 for path in before}]
+        assert blas_threads() == before
 
 
 class TestWorkerCountValidation:
@@ -509,9 +621,10 @@ class TestExperimentJob:
 
 
 class TestExperimentBackendRestored:
-    """An ExperimentJob's backend applies to its own run only: the
-    default engine gets its previous backend back whether the job
-    completes, fails or is cancelled."""
+    """An ExperimentJob's backend and measurement memo apply to its own
+    run only: the default engine gets its previous backend back, and
+    no memo stays attached, whether the job completes, fails or is
+    cancelled."""
 
     def backends(self):
         previous = get_default_engine().backend
@@ -523,6 +636,7 @@ class TestExperimentBackendRestored:
             ExperimentJob(names=("tab-keys",), backend=other)
         ).result()
         assert get_default_engine().backend == previous
+        assert get_default_engine().measurement_memo is None
 
     def test_failed_job(self, monkeypatch):
         from repro.experiments.runner import REGISTRY
@@ -531,7 +645,8 @@ class TestExperimentBackendRestored:
         seen = []
 
         def explode(**kwargs):
-            seen.append(get_default_engine().backend)
+            engine = get_default_engine()
+            seen.append((engine.backend, engine.measurement_memo))
             raise RuntimeError("probe card slipped")
 
         monkeypatch.setitem(
@@ -543,8 +658,9 @@ class TestExperimentBackendRestored:
         )
         with pytest.raises(JobFailed, match="probe card"):
             handle.result()
-        assert seen == [other]
+        assert seen == [(other, {})]
         assert get_default_engine().backend == previous
+        assert get_default_engine().measurement_memo is None
 
     def test_cancelled_job(self):
         previous, other = self.backends()
@@ -553,5 +669,52 @@ class TestExperimentBackendRestored:
         )
         next(iter(handle.stream()))
         assert get_default_engine().backend == other
+        assert get_default_engine().measurement_memo
         assert handle.cancel() is True
         assert get_default_engine().backend == previous
+        assert get_default_engine().measurement_memo is None
+
+    def test_interleaved_jobs_detach_when_the_last_ends(self):
+        # Jobs started A then B and finished A then B share A's memo
+        # until B ends, and leave none behind.
+        engine = get_default_engine()
+        first = FoundryService().submit(ExperimentJob(names=("tab-keys",)))
+        second = FoundryService().submit(ExperimentJob(names=("tab-ovr",)))
+        next(iter(first.stream()))
+        memo = engine.measurement_memo
+        next(iter(second.stream()))
+        assert engine.measurement_memo is memo is not None
+        first.result()
+        assert engine.measurement_memo is memo
+        second.result()
+        assert engine.measurement_memo is None
+
+    def test_nested_job_keeps_the_outer_memo(self, monkeypatch):
+        from repro.experiments.runner import REGISTRY
+
+        seen = []
+
+        def outer(**kwargs):
+            memo = get_default_engine().measurement_memo
+            handle = FoundryService().submit(ExperimentJob(names=("tab-ovr",)))
+            result = handle.result()[0]
+            seen.append((memo, get_default_engine().measurement_memo))
+            return result
+
+        def inner(**kwargs):
+            seen.append(get_default_engine().measurement_memo)
+            return REGISTRY["tab-keys"].execute()
+
+        monkeypatch.setitem(
+            REGISTRY, "tab-ovr",
+            dataclasses.replace(REGISTRY["tab-ovr"], run=inner),
+        )
+        monkeypatch.setitem(
+            REGISTRY, "sweep-std",
+            dataclasses.replace(REGISTRY["sweep-std"], run=outer),
+        )
+        FoundryService().submit(ExperimentJob(names=("sweep-std",))).result()
+        inner_memo, (outer_memo, after_inner) = seen
+        assert outer_memo is not None
+        assert inner_memo is outer_memo is after_inner
+        assert get_default_engine().measurement_memo is None
