@@ -18,9 +18,7 @@ from repro.receiver.config import ConfigWord
 from repro.receiver.performance import (
     measure_modulator_snr,
     measure_modulator_snr_batch,
-    measure_receiver_snr,
     measure_receiver_snr_batch,
-    measure_sfdr,
     measure_sfdr_batch,
 )
 from repro.receiver.receiver import Chip
@@ -106,9 +104,6 @@ class MeasurementOracle:
         self.n_queries += n
         self.elapsed_seconds += n * seconds_each
 
-    def _charge(self, seconds: float) -> None:
-        self.charge_batch(1, seconds)
-
     def remaining_queries(self) -> int | None:
         """Measurements left in the budget (None when unlimited).
 
@@ -122,57 +117,48 @@ class MeasurementOracle:
         return max(self.max_queries - self.n_queries, 0)
 
     def snr(self, key: ConfigWord) -> float:
-        """Measured modulator-output SNR under ``key``, dB."""
-        self._charge(self.cost_model.snr_seconds)
-        return measure_modulator_snr(
-            self.chip, key, self.standard, n_fft=self.n_fft, seed=self.seed
-        ).snr_db
+        """Measured modulator-output SNR under ``key``, dB: the one-key
+        case of :meth:`snr_batch`."""
+        return self.snr_batch([key])[0]
 
     def snr_batch(self, keys: Sequence[ConfigWord]) -> list[float]:
-        """Batched :meth:`snr` — many keys, one engine submission.
+        """Modulator-output SNR of many keys, in one engine submission.
 
         Every key is a metered measurement: the whole chunk is charged
         atomically *before* the batch runs, so a budget overrun raises
         without spending simulation time and without partially
         advancing the meters, at the same query count at which a
-        sequential search would be refused.
+        sequential search would be refused.  The measurement itself is
+        :func:`speculative_snr_batch`.
         """
         self.charge_batch(len(keys), self.cost_model.snr_seconds)
-        measurements = measure_modulator_snr_batch(
-            self.chip, keys, self.standard, n_fft=self.n_fft, seed=self.seed
-        )
-        return [m.snr_db for m in measurements]
+        return speculative_snr_batch(self, keys)
 
     def sfdr(self, key: ConfigWord) -> float:
-        """Measured SFDR under ``key``, dB."""
-        self._charge(self.cost_model.sfdr_seconds)
-        return measure_sfdr(
-            self.chip, key, self.standard, n_fft=self.n_fft, seed=self.seed
-        ).sfdr_db
+        """Measured SFDR under ``key``, dB: the one-key case of
+        :meth:`sfdr_batch`."""
+        return self.sfdr_batch([key])[0]
 
     def sfdr_batch(self, keys: Sequence[ConfigWord]) -> list[float]:
-        """Batched :meth:`sfdr`; metering as in :meth:`snr_batch`."""
+        """SFDR of many keys; metering as in :meth:`snr_batch`, the
+        measurement is :func:`speculative_sfdr_batch`."""
         self.charge_batch(len(keys), self.cost_model.sfdr_seconds)
-        measurements = measure_sfdr_batch(
-            self.chip, keys, self.standard, n_fft=self.n_fft, seed=self.seed
-        )
-        return [m.sfdr_db for m in measurements]
+        return speculative_sfdr_batch(self, keys)
 
     def receiver_snr(self, key: ConfigWord, n_baseband: int = 512) -> float:
-        """Measured SNR at the receiver output (the functional figure).
+        """Measured SNR at the receiver output (the functional figure):
+        the one-key case of :meth:`receiver_snr_batch`.
 
         This is the paper's 20-minute measurement: SNR at the output of
         the RF receiver for a given input.
         """
-        self._charge(self.cost_model.snr_seconds)
-        return measure_receiver_snr(
-            self.chip, key, self.standard, n_baseband=n_baseband, seed=self.seed
-        ).snr_db
+        return self.receiver_snr_batch([key], n_baseband=n_baseband)[0]
 
     def receiver_snr_batch(
         self, keys: Sequence[ConfigWord], n_baseband: int = 512
     ) -> list[float]:
-        """Batched :meth:`receiver_snr`; metering as in :meth:`snr_batch`."""
+        """Receiver-output SNR of many keys; metering as in
+        :meth:`snr_batch`."""
         self.charge_batch(len(keys), self.cost_model.snr_seconds)
         measurements = measure_receiver_snr_batch(
             self.chip, keys, self.standard, n_baseband=n_baseband, seed=self.seed
@@ -194,7 +180,7 @@ class MeasurementOracle:
         high modulator-output SNR (especially on short records) but
         collapses after the digital section, exactly as in Figs. 7-9.
         """
-        self._charge(self.cost_model.snr_seconds)
+        self.charge_batch(1, self.cost_model.snr_seconds)
         snr_mod = measure_modulator_snr(
             self.chip, key, self.standard, n_fft=8192, seed=self.seed
         ).snr_db
@@ -211,11 +197,12 @@ class MeasurementOracle:
 
 
 def speculative_snr_batch(oracle, keys: Sequence[ConfigWord]) -> list[float]:
-    """The measurement values :meth:`MeasurementOracle.snr_batch` would
-    return — *without* charging either the oracle budget or an installed
-    tenant meter.  Sub-tasks score their slices with this; every charge
-    commits later, in replay order, when the parent's assembly replays
-    the scalar attack against the script (see :class:`ScriptedOracle`)."""
+    """The measurement step of :meth:`MeasurementOracle.snr_batch` —
+    its values *without* charging either the oracle budget or an
+    installed tenant meter.  Sub-tasks score their slices with this;
+    every charge commits later, in replay order, when the parent's
+    assembly replays the scalar attack against the script (see
+    :class:`ScriptedOracle`)."""
     measurements = measure_modulator_snr_batch(
         oracle.chip, keys, oracle.standard, n_fft=oracle.n_fft,
         seed=oracle.seed,
@@ -224,7 +211,8 @@ def speculative_snr_batch(oracle, keys: Sequence[ConfigWord]) -> list[float]:
 
 
 def speculative_sfdr_batch(oracle, keys: Sequence[ConfigWord]) -> list[float]:
-    """Unmetered :meth:`MeasurementOracle.sfdr_batch` values; see
+    """The unmetered measurement step of
+    :meth:`MeasurementOracle.sfdr_batch`; see
     :func:`speculative_snr_batch`."""
     measurements = measure_sfdr_batch(
         oracle.chip, keys, oracle.standard, n_fft=oracle.n_fft,

@@ -7,10 +7,10 @@ independent by construction — every cell rebuilds its chip from the
 scenario's :class:`ChipSpec` and seeds its own RNGs — so with
 ``n_workers > 1`` they become tasks on a supervised worker fleet of the
 foundry service (:mod:`repro.service`): workers take cells from one
-ready pool as they free up, die calibrations run as first-class tasks
-that unblock their gated attack cells the moment they land, and
-reports come back deterministic and bit-identical to a sequential run
-whatever the worker count or backend.
+ready pool as they free up, die calibrations run as lockstep sub-lots
+(one task per worker) that unblock their gated attack cells the moment
+they land, and reports come back deterministic and bit-identical to a
+sequential run whatever the worker count or backend.
 
 Workers share one cross-process
 :class:`~repro.engine.store.CalibrationStore`; each (lot, die,
@@ -313,10 +313,10 @@ def run_campaign(
             reproduces the uninterrupted run's reports bit-identically.
 
     Sharded runs schedule the unique (lot, die, standard) calibrations
-    the attack adapters declare as first-class tasks ahead of the cells
-    they gate — each die calibrated exactly once campaign-wide, with
-    early-calibrated dies unblocking their attack cells while straggler
-    dies are still calibrating on other workers.
+    the attack adapters declare as lockstep sub-lots, one task per
+    worker, ahead of the cells they gate — each die calibrated exactly
+    once campaign-wide, with a finished sub-lot unblocking its attack
+    cells while other sub-lots are still calibrating on other workers.
     """
     from repro.service import CampaignJob, FoundryService
 

@@ -28,7 +28,6 @@ from repro.baselines import (
     NeuralBiasLock,
     ProposedFabricLock,
 )
-from repro.calibration.procedure import Calibrator
 from repro.engine import get_default_engine
 from repro.locking.scheme import ProgrammabilityLock
 from repro.process.variations import ChipFactory
@@ -152,20 +151,20 @@ class ThreatScenario:
 
 
 def provision_calibration(spec: ChipSpec, standard: Standard, chip: Chip | None = None):
-    """Full (design-house) calibration of ``spec``'s die, memoised.
+    """Full (design-house) calibration of ``spec``'s die, memoised: the
+    one on-demand calibration entry point of campaigns and experiments.
 
-    The result lives on the default engine's bounded cache under
-    ``(lot_seed, chip_id, standard.index)`` — the lot seed is part of
-    the key because campaigns make lots a scenario axis, and dies with
-    equal ids from different lots are different silicon.
+    The result lives on the default engine's bounded cache (and its
+    attached store) under ``(lot_seed, chip_id, standard.index)`` — the
+    lot seed is part of the key because campaigns make lots a scenario
+    axis, and dies with equal ids from different lots are different
+    silicon.  A miss runs the engine's default factory, the default
+    :class:`~repro.calibration.procedure.Calibrator`.
     """
     if chip is None:
         chip = spec.build()
     return get_default_engine().calibrated(
-        chip,
-        standard,
-        factory=lambda: Calibrator().calibrate(chip, standard),
-        key=(spec.lot_seed, spec.chip_id, standard.index),
+        chip, standard, key=(spec.lot_seed, spec.chip_id, standard.index)
     )
 
 

@@ -167,11 +167,11 @@ class CalibrationStore:
         """Atomically store many entries, logging one audit line each.
 
         All the lines of one bulk write are appended in a single
-        ``O_APPEND`` write, so a fleet provisioning shows up in
-        ``events.log`` as one contiguous block — tagged with ``event``
-        (e.g. ``"fleet"``) so audits can tell lockstep computes from
-        per-die ones.  Line count semantics are unchanged: one line per
-        value computed into the store.
+        ``O_APPEND`` write, so the batch shows up in ``events.log`` as
+        one contiguous block tagged with ``event``.  Line count
+        semantics are unchanged: one line per value computed into the
+        store.  Provisioning does not call it: a lockstep pass streams
+        each die's result through :meth:`put` as the die completes.
         """
         items = list(items)
         for key, value in items:
@@ -237,32 +237,17 @@ class CalibrationStore:
                 except OSError:
                     pass
 
-    def clear_lock(self, key: tuple) -> None:
-        """Remove ``key``'s lock file, if any — crashed-holder debris.
-
-        A killed process (a cancelled service job's terminated worker,
-        a SIGKILLed campaign driver) can leave its :meth:`get_or_set`
-        lock behind, and waiters would poll it for ``lock_timeout``
-        before computing.  Callers that *know* no live holder exists —
-        the service scheduler dedupes each key to one task per job
-        before provisioning — clear the debris up front.  Safe by the
-        store's own invariants: at worst a concurrent campaign
-        recomputes the deterministic value, never a wrong entry.
-        """
-        try:
-            os.unlink(self._lock(key))
-        except OSError:
-            pass
-
     def clear_locks(self) -> int:
         """Sweep every ``get_or_set`` lock file in the store; returns
         how many were removed.
 
-        The whole-store analogue of :meth:`clear_lock`, for callers
-        that know no live holder can exist in the *entire* directory —
-        the foundry daemon runs it at startup over its store root,
-        before any worker of the new fleet exists, so a killed daemon's
-        lock debris never stalls the next one.
+        A killed process (a SIGKILLed worker or campaign driver) can
+        leave its :meth:`get_or_set` lock behind, and waiters would
+        poll it for ``lock_timeout`` before computing.  This is for
+        callers that know no live holder can exist in the *entire*
+        directory — the foundry daemon runs it at startup over its
+        store root, before any worker of the new fleet exists, so a
+        killed daemon's lock debris never stalls the next one.
         """
         removed = 0
         for lock in self.path.glob("cal-*.lock"):

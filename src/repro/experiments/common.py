@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.calibration.procedure import CalibrationResult, Calibrator
-from repro.engine import get_default_engine
+from repro.calibration.procedure import CalibrationResult
+from repro.campaigns.scenario import ChipSpec, provision_calibration
 from repro.engine.engine import clear_caches  # re-exported test hook
 from repro.process.variations import ChipFactory
 from repro.receiver.config import ConfigWord
@@ -89,21 +89,19 @@ def chip_by_id(chip_id: int) -> Chip:
 
 
 def calibrated(chip: Chip, standard: Standard | None = None) -> CalibrationResult:
-    """Calibration result for a lot chip, cached across experiments.
+    """Calibration result for a reference-lot chip, cached across
+    experiments and shared with campaigns: the campaign layer's
+    :func:`~repro.campaigns.scenario.provision_calibration` of the
+    chip's die.
 
     The result lives on the default engine's bounded LRU cache (the
     old module-global grew without limit over long sweeps); clear it
     with :func:`clear_caches`.
     """
-    standard = standard or STANDARDS[0]
-    return get_default_engine().calibrated(
-        chip,
-        standard,
-        factory=lambda: Calibrator().calibrate(chip, standard),
-        # Lot-qualified key, shared with the campaign layer's
-        # provision_calibration (every experiment chip is a reference-lot
-        # die, so the two layers hit the same entries).
-        key=(EXPERIMENT_LOT_SEED, chip.variations.chip_id, standard.index),
+    return provision_calibration(
+        ChipSpec(EXPERIMENT_LOT_SEED, chip.chip_id),
+        standard or STANDARDS[0],
+        chip=chip,
     )
 
 

@@ -196,7 +196,13 @@ def measure_receiver_snr_batch(
     substeps: int = 4,
     engine: SimulationEngine | None = None,
 ) -> list[ToneMeasurement]:
-    """Batched :func:`measure_receiver_snr` over many keys."""
+    """In-band SNR at the receiver output (paper Fig. 9 measurement)
+    of many keys, in one engine submission.
+
+    The tone at ``F0 + delta`` appears at ``+delta`` in the complex
+    baseband after the fs/4 mixer; the SNR is evaluated over the
+    decimated band ``+/- fs/(4*OSR)``.
+    """
     from repro.engine.engine import get_default_engine
     from repro.engine.request import ReceiverRequest
 
@@ -218,6 +224,8 @@ def measure_receiver_snr_batch(
     ]
     results = engine.run_receiver(chip, requests)
     half = standard.fs / (4.0 * osr)
+    # The fs/4 mixer shifts F0 = fs/4 to DC, so the tone lands at
+    # f_sig - fs/4 in the complex baseband.
     f_tone_bb = f_sig - standard.fs / 4.0
     if not results:
         return []
@@ -237,9 +245,13 @@ def modulator_sfdr_probe(
     seed: int = 0,
     substeps: int = 4,
 ):
-    """Requests + decoder for a batched SFDR measurement; the SFDR
-    counterpart of :func:`modulator_snr_probe`.  Returns
-    ``(requests, decode)``."""
+    """Requests + decoder for a batched two-tone SFDR measurement at
+    the modulator output (paper Fig. 12); the SFDR counterpart of
+    :func:`modulator_snr_probe`.  Returns ``(requests, decode)``.
+
+    Two equal-power tones ``delta_hz`` apart are centred in the upper
+    half of the signal band so their IM3 products stay in band.
+    """
     from repro.engine.request import ModulatorRequest
 
     n = n_fft or chip.design.fft_points
@@ -267,6 +279,10 @@ def modulator_sfdr_probe(
         spectra = periodogram_batch(
             np.stack([r.output for r in results]), standard.fs
         )
+        # The tones are placed coherently on exact bins, so the peak
+        # search can be tight — essential at short FFTs where 10 MHz is
+        # only a few bins and a wide search would confuse the two
+        # fundamentals.
         return [
             two_tone_sfdr(s, f1, f2, f_lo, f_hi, search_bins=1) for s in spectra
         ]
@@ -285,7 +301,8 @@ def measure_sfdr_batch(
     substeps: int = 4,
     engine: SimulationEngine | None = None,
 ) -> list[SfdrMeasurement]:
-    """Batched :func:`measure_sfdr` over many keys."""
+    """Two-tone SFDR of many keys (see :func:`modulator_sfdr_probe`),
+    in one engine submission."""
     from repro.engine.engine import get_default_engine
 
     engine = engine or get_default_engine()
@@ -311,13 +328,16 @@ def modulator_output_spectrum(
     seed: int = 0,
     substeps: int = 4,
 ) -> Spectrum:
-    """Calibrated output spectrum of the modulator (paper Fig. 10)."""
-    n = n_fft or chip.design.fft_points
-    f_sig = stimulus_frequency(standard, chip.design.osr, n)
-    stim = ToneStimulus.single(f_sig, power_dbm)
-    result = chip.simulate_modulator(
-        config, stim, standard.fs, n_samples=n, seed=seed, substeps=substeps
+    """Calibrated output spectrum of the modulator (paper Fig. 10),
+    under the modulator-SNR measurement's request
+    (:func:`modulator_snr_probe`)."""
+    from repro.engine.engine import get_default_engine
+
+    requests, _ = modulator_snr_probe(
+        chip, [config], standard, power_dbm=power_dbm, n_fft=n_fft,
+        seed=seed, substeps=substeps,
     )
+    (result,) = get_default_engine().run(chip, requests)
     return periodogram(result.output, standard.fs)
 
 
@@ -330,25 +350,12 @@ def measure_receiver_snr(
     seed: int = 0,
     substeps: int = 4,
 ) -> ToneMeasurement:
-    """In-band SNR at the receiver output (paper Fig. 9 measurement).
-
-    The tone at ``F0 + delta`` appears at ``+delta`` in the complex
-    baseband after the fs/4 mixer; the SNR is evaluated over the
-    decimated band ``+/- fs/(4*OSR)``.
-    """
-    osr = chip.design.osr
-    n_mod = n_baseband * osr
-    f_sig = stimulus_frequency(standard, osr, n_mod)
-    stim = ToneStimulus.single(f_sig, power_dbm)
-    result = chip.simulate_receiver(
-        config, stim, standard.fs, n_baseband=n_baseband, seed=seed, substeps=substeps
-    )
-    spectrum = periodogram(result.baseband, result.fs_out)
-    half = standard.fs / (4.0 * osr)
-    # The fs/4 mixer shifts F0 = fs/4 to DC, so the tone lands at
-    # f_sig - fs/4 in the complex baseband.
-    f_tone_bb = f_sig - standard.fs / 4.0
-    return band_snr(spectrum, f_tone_bb, -half, half)
+    """In-band SNR at the receiver output (paper Fig. 9 measurement):
+    the one-key case of :func:`measure_receiver_snr_batch`."""
+    return measure_receiver_snr_batch(
+        chip, [config], standard, power_dbm=power_dbm,
+        n_baseband=n_baseband, seed=seed, substeps=substeps,
+    )[0]
 
 
 def measure_sfdr(
@@ -361,28 +368,12 @@ def measure_sfdr(
     seed: int = 0,
     substeps: int = 4,
 ) -> SfdrMeasurement:
-    """Two-tone SFDR at the modulator output (paper Fig. 12).
-
-    Two equal-power tones ``delta_hz`` apart are centred in the upper
-    half of the signal band so their IM3 products stay in band.
-    """
-    n = n_fft or chip.design.fft_points
-    osr = chip.design.osr
-    half = standard.fs / (4.0 * osr)
-    f1 = coherent_frequency(
-        standard.f_center + 0.15 * half, standard.fs, n
-    )
-    f2 = coherent_frequency(f1 + delta_hz, standard.fs, n)
-    stim = ToneStimulus.two_tone(f1, f2, power_dbm_each)
-    result = chip.simulate_modulator(
-        config, stim, standard.fs, n_samples=n, seed=seed, substeps=substeps
-    )
-    spectrum = periodogram(result.output, standard.fs)
-    f_lo, f_hi = signal_band(standard, osr)
-    # The tones are placed coherently on exact bins, so the peak search
-    # can be tight — essential at short FFTs where 10 MHz is only a few
-    # bins and a wide search would confuse the two fundamentals.
-    return two_tone_sfdr(spectrum, f1, f2, f_lo, f_hi, search_bins=1)
+    """Two-tone SFDR at the modulator output (paper Fig. 12): the
+    one-key case of :func:`measure_sfdr_batch`."""
+    return measure_sfdr_batch(
+        chip, [config], standard, power_dbm_each=power_dbm_each,
+        delta_hz=delta_hz, n_fft=n_fft, seed=seed, substeps=substeps,
+    )[0]
 
 
 @dataclass(frozen=True)

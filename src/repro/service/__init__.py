@@ -9,13 +9,13 @@ their execution loop; this package gives them one.  A
 * :class:`~repro.service.jobs.CampaignJob` — an attack campaign's cell
   list, sharded over a **supervised worker fleet**
   (:mod:`repro.service.scheduler`): cells are tasks in one ready pool
-  that workers take as they free up, die calibrations are first-class
-  tasks that unblock their gated attack cells the moment they land —
-  early-calibrated dies attack while stragglers are still calibrating
-  — and imbalanced fleets pack tightly instead of idling behind a
-  dominant cell;
-* :class:`~repro.service.jobs.ProvisioningJob` — a fleet calibration
-  pass into a shared store;
+  that workers take as they free up, die calibrations run as lockstep
+  sub-lots, one task per worker, that unblock their gated attack cells
+  the moment they land — a finished sub-lot's dies attack while other
+  sub-lots are still calibrating — and imbalanced fleets pack tightly
+  instead of idling behind a dominant cell;
+* :class:`~repro.service.jobs.ProvisioningJob` — fleet calibration
+  into a shared store, as one lockstep sub-lot per worker;
 * :class:`~repro.service.jobs.ExperimentJob` — registered paper
   artefacts in report order.
 

@@ -31,7 +31,7 @@ Architecture
   hands, so which worker runs a task still cannot change any report.
   A job's ``n_workers`` bounds how many of its tasks are in flight at
   once (1 serialises the job's cells — which is what makes per-tenant
-  metering deterministic), and provisioning tasks gate their attack
+  metering deterministic), and provisioning sub-lots gate their attack
   cells through the same :func:`~repro.service.scheduler.run_on_fleet`
   loop an in-process sharded job uses.
 * **Self-healing.**  Fleet workers are supervised over per-worker
@@ -188,17 +188,10 @@ class _FleetService(FoundryService):
         )
 
     def _campaign_runner(self, job, todo, n_workers, journal):
-        # clear_locks=False: a concurrent job of this daemon may hold a
-        # *live* lock on a shared triple; crashed-holder debris was
-        # swept once at daemon startup.
-        return (
-            self._campaign_sharded(job, todo, n_workers, journal,
-                                   clear_locks=False),
-            n_workers,
-        )
+        return self._campaign_sharded(job, todo, n_workers, journal), n_workers
 
-    def _provision_runner(self, job, missing, n_workers, store):
-        return self._provision_sharded(job, missing, n_workers, store)
+    def _provision_runner(self, job, tasks, store):
+        return self._provision_sharded(job, tasks, store)
 
     def _experiment_events(self, job):
         from repro.experiments.runner import REGISTRY

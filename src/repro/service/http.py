@@ -314,6 +314,11 @@ class _HTTPHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-foundry-http/1"
 
+    #: Whether the request declared body bytes the handler has not read.
+    #: A reply sent while they are unread closes the connection, or
+    #: they would be parsed as the next request.
+    _unread_body = False
+
     # -- plumbing ---------------------------------------------------------
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -329,6 +334,8 @@ class _HTTPHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self._unread_body:
+            self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(body)
 
@@ -339,13 +346,19 @@ class _HTTPHandler(BaseHTTPRequestHandler):
         self._reply(status, payload)
 
     def _body(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
+        text = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(text)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # Refused before reading: a negative length would read to EOF.
             raise SchemaError(
-                f"request body of {length} bytes exceeds the "
+                f"Content-Length {text!r} is not a byte count within the "
                 f"{MAX_BODY_BYTES}-byte cap"
             )
         raw = self.rfile.read(length) if length else b""
+        self._unread_body = False
         if not raw:
             return {}
         try:
@@ -364,6 +377,7 @@ class _HTTPHandler(BaseHTTPRequestHandler):
         )
 
     def _dispatch(self, method: str) -> None:
+        self._unread_body = (self.headers.get("Content-Length") or "0") != "0"
         url = urlparse(self.path)
         parts = [p for p in url.path.split("/") if p]
         query = {k: v[-1] for k, v in parse_qs(url.query).items()}

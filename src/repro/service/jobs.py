@@ -249,10 +249,10 @@ class ProvisioningJob:
     """Fleet-calibrate ``(lot_seed, chip_id, standard_index)`` triples
     into a calibration store; the result is the number computed.
 
-    With one worker the pass runs as a single parent-side lockstep
-    :func:`~repro.campaigns.campaign.provision_fleet` batch; with more,
-    each missing triple becomes a task on a supervised worker fleet
-    private to the job.
+    The missing triples run as ``min(n_workers, len(missing))``
+    lockstep :func:`~repro.campaigns.campaign.provision_fleet` sub-lots,
+    one ``"provision"`` event each: one in-process, more as tasks on a
+    supervised worker fleet private to the job (or the daemon's).
     """
 
     triples: tuple = ()

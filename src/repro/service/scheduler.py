@@ -1,14 +1,14 @@
 """Supervised worker fleet and the gating loop every sharded job runs on.
 
-Every unit of sharded work (a die calibration, an attack cell, a
-partitioned cell's sub-task, an experiment) is a task in one ready
-pool, the next task goes to whichever worker frees up first, and
-attack cells that need a die's calibration are *gated* — released the
-instant their die's provisioning task completes, while straggler dies
-are still calibrating on other workers.  Imbalanced fleets therefore
-pack tightly (the dominant cell occupies one worker while the others
-drain the rest), and provisioning overlaps the attack phase instead of
-preceding it.
+Every unit of sharded work (a lockstep sub-lot of die calibrations,
+an attack cell, a partitioned cell's sub-task, an experiment) is a
+task in one ready pool, the next task goes to whichever worker frees
+up first, and attack cells that need a die's calibration are *gated*
+— released the instant the sub-lot holding their die completes, while
+other sub-lots are still calibrating on other workers.  Imbalanced
+fleets therefore pack tightly (the dominant cell occupies one worker
+while the others drain the rest), and provisioning overlaps the attack
+phase instead of preceding it.
 
 Two pieces, one of each:
 
@@ -93,29 +93,28 @@ HEARTBEAT_SECONDS = 0.5
 
 @dataclass(frozen=True)
 class ProvisionTask:
-    """Calibrate one ``(lot_seed, chip_id, standard_index)`` die into
-    the shared calibration store."""
+    """Fleet-calibrate one sub-lot of ``(lot_seed, chip_id,
+    standard_index)`` triples into the worker's shared store in one
+    lockstep :func:`~repro.campaigns.campaign.provision_fleet` pass.
+    Results stream into the store per die and stored triples are
+    skipped, so a retried sub-lot recomputes only the dies its killed
+    attempt had not stored."""
 
-    triple: tuple
+    triples: tuple
 
     def label(self) -> str:
-        lot_seed, chip_id, standard_index = self.triple
-        return f"provision lot{lot_seed}/chip{chip_id}/std{standard_index}"
+        return f"fleet of {len(self.triples)} dies"
 
     def key(self) -> tuple:
         """Stable identity for retry accounting and charge reservations."""
-        return ("provision", self.triple)
+        return ("provision", self.triples)
 
     def run(self):
-        from repro.campaigns.scenario import ChipSpec, provision_calibration
-        from repro.receiver.standards import standard_by_index
+        from repro.campaigns.campaign import provision_fleet
+        from repro.engine import get_default_engine
 
-        lot_seed, chip_id, standard_index = self.triple
-        provision_calibration(
-            ChipSpec(lot_seed=lot_seed, chip_id=chip_id),
-            standard_by_index(standard_index),
-        )
-        return self.triple
+        provision_fleet(self.triples, get_default_engine().calibration_store)
+        return self.triples
 
 
 @dataclass(frozen=True)
@@ -709,8 +708,9 @@ def run_on_fleet(fleet: WorkerFleet, context: TaskContext, cell_tasks,
     completion order.
 
     ``cell_triples`` maps cell index -> set of provisioning triples the
-    cell is gated on; a gated cell enqueues the moment its last missing
-    triple lands.  ``partitions`` maps cell index -> partition plan (see
+    cell is gated on; a gated cell enqueues the moment the last
+    :class:`ProvisionTask` holding one of its missing triples
+    completes.  ``partitions`` maps cell index -> partition plan (see
     the module docstring): a partitioned cell releases as its plan's
     :class:`SubTask` fan-out and completes via its :class:`AssembleTask`
     replay; sub-task completions are never yielded.
@@ -788,11 +788,12 @@ def run_on_fleet(fleet: WorkerFleet, context: TaskContext, cell_tasks,
                 continue
             done += 1
             if isinstance(task, ProvisionTask):
-                for waiter in waiters.pop(task.triple, ()):
-                    pending = blocked[waiter]
-                    pending.discard(task.triple)
-                    if not pending:
-                        release(waiter)
+                for triple in task.triples:
+                    for waiter in waiters.pop(triple, ()):
+                        pending = blocked[waiter]
+                        pending.discard(triple)
+                        if not pending:
+                            release(waiter)
             yield task, payload, seconds
     finally:
         fleet.close_ticket(ticket)

@@ -66,18 +66,24 @@ from repro.service.scheduler import (
 )
 
 
-def plan_campaign_tasks(todo, store, clear_locks: bool):
+def provisioning_tasks(missing, n_workers: int) -> list:
+    """Split the sorted ``missing`` triples into ``k = min(n_workers,
+    len(missing))`` near-equal lockstep sub-lots, ``missing[i::k]``,
+    one :class:`ProvisionTask` each: every provisioning pass gets
+    lockstep fusion within a sub-lot and process parallelism across
+    them."""
+    k = min(n_workers, len(missing))
+    return [ProvisionTask(tuple(missing[i::k])) for i in range(k)]
+
+
+def plan_campaign_tasks(todo, store, n_workers: int):
     """Turn the remaining ``(index, cell)`` pairs into scheduler tasks.
 
-    Returns ``(cell_tasks, provision_tasks, cell_triples)``:
-    the cells as :class:`CellTask` records, one :class:`ProvisionTask`
-    per calibration triple the cells declare that ``store`` does not
-    already hold, and the gating map (cell index -> set of missing
-    triples the cell must wait for).  ``clear_locks`` clears each
-    missing triple's ``get_or_set`` lock up front — correct only when
-    the caller owns the store exclusively (the per-job service path);
-    the daemon shares one store across concurrent jobs and sweeps
-    debris at startup instead.
+    Returns ``(cell_tasks, provision_tasks, cell_triples)``: the cells
+    as :class:`CellTask` records, the calibration triples the cells
+    declare that ``store`` does not already hold as
+    :func:`provisioning_tasks` sub-lots, and the gating map (cell index
+    -> set of missing triples the cell must wait for).
     """
     from repro.campaigns.campaign import cell_triples as triples_of
 
@@ -87,13 +93,12 @@ def plan_campaign_tasks(todo, store, clear_locks: bool):
         t for t, hit in zip(triples, store.get_many(triples))
         if hit is None
     ]
-    if clear_locks:
-        for triple in missing:
-            store.clear_lock(triple)
     for index in cell_triples:
         cell_triples[index] &= set(missing)
     cell_tasks = [CellTask(index, cell) for index, cell in todo]
-    return cell_tasks, [ProvisionTask(t) for t in missing], cell_triples
+    return (
+        cell_tasks, provisioning_tasks(missing, n_workers), cell_triples
+    )
 
 
 def plan_cell_partitions(todo):
@@ -390,14 +395,7 @@ class FoundryService:
             # single *partitioned* cell is exactly the dominant-cell
             # case sub-task scheduling exists for, so it still shards.
             return self._campaign_inline(job, todo, journal), 1
-        # clear_locks=True: this job owns each triple as exactly one
-        # task, so a lock left by a killed run's terminated worker is
-        # debris.  (The daemon plans with False — see its override.)
-        return (
-            self._campaign_sharded(job, todo, n_workers, journal,
-                                   clear_locks=True),
-            n_workers,
-        )
+        return self._campaign_sharded(job, todo, n_workers, journal), n_workers
 
     def _campaign_inline(self, job, todo, journal):
         """In-process execution, cell order — the ground truth every
@@ -426,8 +424,8 @@ class FoundryService:
             engine.backend = previous_backend
             engine.calibration_store = previous_store
 
-    def _campaign_sharded(self, job, todo, n_workers, journal, clear_locks):
-        """Fleet execution: provisioning tasks gate their cells, and
+    def _campaign_sharded(self, job, todo, n_workers, journal):
+        """Fleet execution: provisioning sub-lots gate their cells, and
         partitioned cells fan out as sub-tasks."""
         store_path = job.calibration_store or (
             journal.calibration_store_path() if journal else None
@@ -437,7 +435,7 @@ class FoundryService:
             store_path = tempfile.mkdtemp(prefix="repro-calstore-")
         try:
             cell_tasks, provision_tasks, cell_triples = plan_campaign_tasks(
-                todo, CalibrationStore(store_path), clear_locks=clear_locks
+                todo, CalibrationStore(store_path), n_workers
             )
             partitions = plan_cell_partitions(todo)
             # Partitioned jobs hold more units than results, so size the
@@ -485,40 +483,37 @@ class FoundryService:
         ]
         if not missing:
             return 0
-        yield from self._provision_runner(job, missing, n_workers, store)
+        yield from self._provision_runner(
+            job, provisioning_tasks(missing, n_workers), store
+        )
         return len(missing)
 
-    def _provision_runner(self, job, missing, n_workers, store):
-        """Execute the missing triples: one parent-side lockstep batch,
-        or one fleet task per triple (the daemon's service overrides
-        this to shard everything on its persistent fleet)."""
+    def _provision_runner(self, job, tasks, store):
+        """Run the sub-lots, one ``"provision"`` event each: one
+        in-process as one lockstep pass, more on a fleet private to the
+        job (the daemon's service overrides this to run every sub-lot
+        on its persistent fleet)."""
         from repro.campaigns.campaign import provision_fleet
 
-        for triple in missing:
-            store.clear_lock(triple)  # killed-run debris; see campaign path
-        if n_workers == 1 or len(missing) <= 1:
-            start = time.perf_counter()
-            with blas_pinned():
-                provision_fleet(missing, store, backend=job.backend)
-            yield TaskEvent(
-                "provision",
-                f"fleet of {len(missing)} dies",
-                None,
-                tuple(missing),
-                time.perf_counter() - start,
-            )
-        else:
-            yield from self._provision_sharded(job, missing, n_workers, store)
+        if len(tasks) > 1:
+            yield from self._provision_sharded(job, tasks, store)
+            return
+        (task,) = tasks
+        start = time.perf_counter()
+        with blas_pinned():
+            provision_fleet(task.triples, store, backend=job.backend)
+        yield TaskEvent("provision", task.label(), None, task.triples,
+                        time.perf_counter() - start)
 
-    def _provision_sharded(self, job, missing, n_workers, store):
-        with self._fleet(min(n_workers, len(missing))) as fleet:
+    def _provision_sharded(self, job, tasks, store):
+        with self._fleet(len(tasks)) as fleet:
             events = run_on_fleet(
                 fleet,
                 self._task_context(job.backend, str(store.path)),
                 [],
-                [ProvisionTask(t) for t in missing],
+                tasks,
                 {},
-                max_inflight=n_workers,
+                max_inflight=len(tasks),
             )
             for task, payload, seconds in events:
                 yield TaskEvent("provision", task.label(), None, payload,

@@ -46,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -161,14 +162,51 @@ def parse_tenant_spec(spec: str) -> TenantConfig:
     )
 
 
+@contextmanager
+def _locked(path: Path):
+    """Hold the exclusive lock beside ``path`` for a block.
+
+    ``flock`` where available (a crashed holder's lock is released by
+    the kernel, so a SIGKILLed worker can never wedge its tenant),
+    otherwise an ``O_CREAT|O_EXCL`` spin lock on the same lock file."""
+    lock = path.with_suffix(path.suffix + ".lock")
+    if fcntl is not None:
+        fd = os.open(lock, os.O_CREAT | os.O_RDWR, 0o644)
+        fcntl.flock(fd, fcntl.LOCK_EX)
+    else:  # pragma: no cover - non-POSIX fallback
+        while True:
+            try:
+                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                time.sleep(0.005)
+    try:
+        yield
+    finally:
+        if fcntl is not None:
+            fcntl.flock(fd, fcntl.LOCK_UN)
+            os.close(fd)
+        else:  # pragma: no cover - non-POSIX fallback
+            os.close(fd)
+            os.unlink(lock)
+
+
+def _read_count(path: Path) -> int:
+    """The ASCII integer in ``path``; 0 when missing or torn."""
+    try:
+        return int(path.read_text() or "0")
+    except (OSError, ValueError):
+        return 0
+
+
 class TokenBucket:
     """File-backed token bucket shared by every process of a tenant.
 
     The state file holds ``"<tokens> <stamp>"`` — the token level and
     the monotonic clock reading it was valid at.  :meth:`take` holds an
-    exclusive lock (same discipline as :class:`TenantMeter`) across
-    refill-check-write: the bucket refills continuously at
-    ``per_minute / 60`` tokens per second up to ``per_minute``
+    exclusive lock (:func:`_locked`, as :class:`TenantMeter` does on its
+    count) across refill-check-write: the bucket refills continuously
+    at ``per_minute / 60`` tokens per second up to ``per_minute``
     capacity, a request that fits is debited atomically, and one that
     does not raises :class:`RateLimited` **without writing anything**
     — a refusal consumes no tokens and can be retried after
@@ -199,32 +237,6 @@ class TokenBucket:
         self.clock = clock
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
-    # The lock discipline is TenantMeter's, on the bucket's own file.
-
-    def _lock_path(self) -> Path:
-        return self.path.with_suffix(self.path.suffix + ".lock")
-
-    def _acquire(self):
-        if fcntl is not None:
-            fd = os.open(self._lock_path(), os.O_CREAT | os.O_RDWR, 0o644)
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            return fd
-        while True:  # pragma: no cover - non-POSIX fallback
-            try:
-                return os.open(
-                    self._lock_path(), os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                )
-            except FileExistsError:
-                time.sleep(0.005)
-
-    def _release(self, fd: int) -> None:
-        if fcntl is not None:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
-        else:  # pragma: no cover - non-POSIX fallback
-            os.close(fd)
-            os.unlink(self._lock_path())
-
     def _refilled(self, now: float) -> float:
         """Token level at ``now`` (lock held): stored level plus refill
         since the stored stamp, capped at capacity."""
@@ -237,19 +249,15 @@ class TokenBucket:
 
     def level(self) -> float:
         """The current token level (diagnostics and tests)."""
-        fd = self._acquire()
-        try:
+        with _locked(self.path):
             return self._refilled(self.clock())
-        finally:
-            self._release(fd)
 
     def take(self, n: float = 1.0) -> None:
         """Atomically debit ``n`` tokens, or raise :class:`RateLimited`
         with the bucket un-advanced when they are not there yet."""
         if n < 0:
             raise ValueError(f"cannot take a negative amount, got {n}")
-        fd = self._acquire()
-        try:
+        with _locked(self.path):
             now = self.clock()
             tokens = self._refilled(now)
             if tokens + 1e-9 < n:
@@ -262,21 +270,16 @@ class TokenBucket:
                     retry_after=retry_after,
                 )
             self.path.write_text(f"{tokens - n} {now}\n")
-        finally:
-            self._release(fd)
 
     def refund(self, n: float) -> None:
         """Return ``n`` tokens (capped at capacity) — the rollback half
         of a task reservation whose charges were rate-debited."""
         if n <= 0:
             return
-        fd = self._acquire()
-        try:
+        with _locked(self.path):
             now = self.clock()
             tokens = min(self.capacity, self._refilled(now) + n)
             self.path.write_text(f"{tokens} {now}\n")
-        finally:
-            self._release(fd)
 
 
 def reservation_path(meter_path: str | os.PathLike, task_id: str) -> Path:
@@ -286,13 +289,6 @@ def reservation_path(meter_path: str | os.PathLike, task_id: str) -> Path:
     meter_path = Path(meter_path)
     digest = hashlib.sha256(task_id.encode()).hexdigest()[:16]
     return meter_path.parent / f"{meter_path.name}.r-{digest}"
-
-
-def _read_count(path: Path) -> int:
-    try:
-        return int(path.read_text() or "0")
-    except (OSError, ValueError):
-        return 0
 
 
 class TenantMeter:
@@ -337,47 +333,12 @@ class TenantMeter:
                 clock=clock,
             )
 
-    # -- locking ----------------------------------------------------------
-
-    def _lock_path(self) -> Path:
-        return self.path.with_suffix(self.path.suffix + ".lock")
-
-    def _acquire(self):
-        if fcntl is not None:
-            fd = os.open(self._lock_path(), os.O_CREAT | os.O_RDWR, 0o644)
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            return fd
-        while True:  # pragma: no cover - non-POSIX fallback
-            try:
-                return os.open(
-                    self._lock_path(), os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                )
-            except FileExistsError:
-                time.sleep(0.005)
-
-    def _release(self, fd: int) -> None:
-        if fcntl is not None:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
-        else:  # pragma: no cover - non-POSIX fallback
-            os.close(fd)
-            os.unlink(self._lock_path())
-
     # -- the meter --------------------------------------------------------
-
-    def _read(self) -> int:
-        try:
-            return int(self.path.read_text() or "0")
-        except (OSError, ValueError):
-            return 0
 
     def n_queries(self) -> int:
         """The tenant's metered measurement count so far."""
-        fd = self._acquire()
-        try:
-            return self._read()
-        finally:
-            self._release(fd)
+        with _locked(self.path):
+            return _read_count(self.path)
 
     def charge_batch(self, n: int, seconds_each: float = 0.0) -> None:
         """Atomically admit or refuse a whole ``n``-measurement chunk.
@@ -400,9 +361,8 @@ class TenantMeter:
         """
         if n < 0:
             raise ValueError(f"cannot charge a negative batch, got {n}")
-        fd = self._acquire()
-        try:
-            count = self._read()
+        with _locked(self.path):
+            count = _read_count(self.path)
             if (
                 self.max_queries is not None
                 and count + n > self.max_queries
@@ -418,8 +378,6 @@ class TenantMeter:
                 reserved = _read_count(self._reservation)
                 self._reservation.write_text(f"{reserved + n}\n")
             self.path.write_text(f"{count + n}\n")
-        finally:
-            self._release(fd)
         if faults.ENABLED and faults.fire("task.crash_after_charge"):
             faults.crash()
 
@@ -439,23 +397,17 @@ class TenantMeter:
         (worker-side, before the task runs).  Any stale journal for the
         same id was settled by the parent before the retry started."""
         self._reservation = reservation_path(self.path, task_id)
-        fd = self._acquire()
-        try:
+        with _locked(self.path):
             self._reservation.write_text("0\n")
-        finally:
-            self._release(fd)
 
     def commit_task(self, task_id: str) -> None:
         """Settle ``task_id``'s reservation as spent (parent-side, on
         the task's result): the charges stand, the journal is dropped."""
-        fd = self._acquire()
-        try:
+        with _locked(self.path):
             try:
                 os.unlink(reservation_path(self.path, task_id))
             except OSError:
                 pass
-        finally:
-            self._release(fd)
 
     def rollback_task(self, task_id: str) -> int:
         """Refund ``task_id``'s journaled charges (parent-side, before
@@ -464,18 +416,15 @@ class TenantMeter:
         rollback — or a rollback racing a commit — finds no journal and
         refunds nothing."""
         reservation = reservation_path(self.path, task_id)
-        fd = self._acquire()
-        try:
+        with _locked(self.path):
             reserved = _read_count(reservation)
             if reserved:
-                count = self._read()
+                count = _read_count(self.path)
                 self.path.write_text(f"{max(0, count - reserved)}\n")
             try:
                 os.unlink(reservation)
             except OSError:
                 pass
-        finally:
-            self._release(fd)
         if reserved and self.bucket is not None:
             # Refund the rate tokens the reclaimed task's charges took:
             # the retry will debit them again, and a crash must not

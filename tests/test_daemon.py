@@ -304,6 +304,95 @@ class TestDaemonDifferential:
 
 
 # ---------------------------------------------------------------------------
+# One provisioning driver on the fleet
+# ---------------------------------------------------------------------------
+
+
+#: One lot's provisioning triples (lot 2022, dies 0-5, standards 0/3).
+PROVISION_TRIPLES = tuple(
+    (2022, chip_id, std) for chip_id in range(6) for std in (0, 3)
+)
+
+
+def stored_fields(store_path, triples) -> list:
+    """Every stored calibration result, field by field, as the pickle
+    bytes of each field's value (a bitwise comparison)."""
+    import dataclasses
+
+    return [
+        {
+            field.name: pickle.dumps(getattr(result, field.name))
+            for field in dataclasses.fields(result)
+        }
+        for result in CalibrationStore(store_path).get_many(triples)
+    ]
+
+
+class TestDaemonProvisioning:
+    def test_sub_lots_store_the_one_worker_pass(self, daemon_factory,
+                                                tmp_path):
+        """A daemon provisioning job runs ``min(n_workers, triples)``
+        lockstep sub-lots on the fleet: one ``"provision"`` event each,
+        one compute per triple, and stored results equal to the
+        in-process one-worker pass field by field."""
+        reference = str(tmp_path / "reference")
+        FoundryService().submit(
+            ProvisioningJob(triples=PROVISION_TRIPLES,
+                            calibration_store=reference, n_workers=1)
+        ).result()
+        expected = stored_fields(reference, PROVISION_TRIPLES)
+        daemon = daemon_factory("prov", n_workers=2)
+        client = DaemonClient(socket=daemon.address)
+        for n_workers in (1, 2):
+            store = str(tmp_path / f"store{n_workers}")
+            handle = client.submit(
+                ProvisioningJob(triples=PROVISION_TRIPLES,
+                                calibration_store=store,
+                                n_workers=n_workers)
+            )
+            assert handle.result(timeout=600) == len(PROVISION_TRIPLES)
+            kinds = [e.kind for e in handle.stream()]
+            assert kinds == ["provision"] * n_workers
+            assert len(CalibrationStore(store).compute_events()) == len(
+                PROVISION_TRIPLES
+            )
+            assert stored_fields(store, PROVISION_TRIPLES) == expected
+
+    def test_retried_sub_lot_recomputes_nothing_stored(self,
+                                                       daemon_factory,
+                                                       tmp_path):
+        """The one worker is killed as it reports the sub-lot (its
+        second task, after a warm-up job): the respawned worker retries
+        the sub-lot, finds every die stored, and the job completes with
+        exactly one compute per triple."""
+        from repro import faults
+
+        triples = PROVISION_TRIPLES[:4]
+        standing = faults.active()  # restore any suite-wide chaos plan
+        # Hit counters are per process: the forked worker dies on its
+        # second task, and its respawn's first task (the retry) succeeds.
+        faults.install(faults.parse_spec("task.crash_before_report:at=2"))
+        try:
+            daemon = daemon_factory("retry", n_workers=1)
+        finally:
+            faults.install(standing)
+        client = DaemonClient(socket=daemon.address)
+        client.submit(
+            CampaignJob(cells=oracle_cells(1), n_workers=1)
+        ).result(timeout=600)
+        (first,) = [proc.pid for proc in daemon.fleet.workers]
+        store = str(tmp_path / "store")
+        handle = client.submit(
+            ProvisioningJob(triples=triples, calibration_store=store,
+                            n_workers=1)
+        )
+        assert handle.result(timeout=600) == len(triples)
+        assert [proc.pid for proc in daemon.fleet.workers] != [first]
+        assert [e.kind for e in handle.stream()] == ["provision"]
+        assert len(CalibrationStore(store).compute_events()) == len(triples)
+
+
+# ---------------------------------------------------------------------------
 # Tenant quotas through the daemon
 # ---------------------------------------------------------------------------
 

@@ -491,6 +491,68 @@ class TestHTTPFacade:
             daemon.stop()
 
 
+class TestBodyFraming:
+    """The body cap holds whatever ``Content-Length`` claims, and a
+    body the handler refused to read is never parsed as a request."""
+
+    @pytest.fixture
+    def door(self):
+        # The refusals come before any daemon call: no daemon needed.
+        front = FoundryHTTPFrontend(backend=short_socket())
+        front.start()
+        yield front
+        front.stop()
+
+    def exchange(self, door, raw: bytes) -> bytes:
+        """Send ``raw`` with the write side left open; return every
+        byte the server sends until it closes.  The socket timeout is
+        the hang guard: a server that keeps the connection open fails
+        the read instead of blocking the test."""
+        host, port = door.address.rsplit(":", 1)
+        with socket_module.create_connection(
+            (host, int(port)), timeout=10
+        ) as sock:
+            sock.sendall(raw)
+            received = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return received
+                received += chunk
+
+    @staticmethod
+    def status_lines(received: bytes) -> list:
+        return [
+            line for line in received.split(b"\r\n")
+            if line.startswith(b"HTTP/1.")
+        ]
+
+    def test_negative_length_is_400_and_closes(self, door):
+        received = self.exchange(
+            door,
+            b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: -1\r\n\r\n",
+        )
+        (status,) = self.status_lines(received)
+        assert b" 400 " in status
+        body = json.loads(received.split(b"\r\n\r\n", 1)[1])
+        assert body["kind"] == "SchemaError"
+        assert "'-1'" in body["error"]
+
+    def test_unread_over_cap_body_is_not_a_request(self, door):
+        from repro.service.http import MAX_BODY_BYTES
+
+        received = self.exchange(
+            door,
+            b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+            + f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
+            + b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n",
+        )
+        (status,) = self.status_lines(received)
+        assert b" 400 " in status
+        assert b"cap" in received
+
+
 # ---------------------------------------------------------------------------
 # CLI verbs
 # ---------------------------------------------------------------------------

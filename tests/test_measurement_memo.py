@@ -1,21 +1,26 @@
-"""The modulator-SNR measurement path and its job-scoped memo.
+"""The measurement paths and the modulator-SNR job-scoped memo.
 
-``measure_modulator_snr`` is the one-key case of
-``measure_modulator_snr_batch``, and an in-process ``ExperimentJob``
-attaches a measurement memo to the default engine, so each distinct
-measurement of a registry run is simulated once.  These tests hold the
-single path to the original scalar formula, the memo's keys, and the
-registry's tables to unmemoised runs.
+Each scalar measurement (``measure_modulator_snr``, ``measure_sfdr``,
+``measure_receiver_snr``) is the one-key case of its batch, the Fig. 10
+spectrum runs the modulator-SNR request, and an in-process
+``ExperimentJob`` attaches a measurement memo to the default engine,
+so each distinct modulator-SNR measurement of a registry run is
+simulated once.  These tests hold each single path to the original
+scalar formula, the memo's keys, and the registry's tables to
+unmemoised runs.
 """
 
 import dataclasses
+import pickle
 import struct
 
 import numpy as np
 import pytest
 
-from repro.dsp import band_snr, periodogram
+from repro.dsp import band_snr, periodogram, two_tone_sfdr
+from repro.dsp.tones import coherent_frequency
 from repro.engine import SimulationEngine, clear_caches, get_default_engine
+from repro.experiments.common import calibrated
 from repro.experiments.runner import REGISTRY
 from repro.process import ChipFactory
 from repro.receiver import (
@@ -24,10 +29,19 @@ from repro.receiver import (
     STANDARDS,
     ToneStimulus,
     measure_modulator_snr,
+    measure_receiver_snr,
+    measure_sfdr,
+    modulator_output_spectrum,
     signal_band,
     stimulus_frequency,
 )
-from repro.receiver.performance import measure_modulator_snr_batch
+from repro.receiver.performance import (
+    SFDR_DELTA_HZ,
+    SFDR_POWER_DBM,
+    measure_modulator_snr_batch,
+    measure_receiver_snr_batch,
+    measure_sfdr_batch,
+)
 from repro.service import ExperimentJob, FoundryService
 
 STD = STANDARDS[0]
@@ -71,6 +85,93 @@ class TestOneMeasurementPath:
                 chip, key, STD, power_dbm=power, n_fft=n, seed=seed
             )
             assert bits(got) == bits(expected)
+
+
+    @staticmethod
+    def keys(chip, standard) -> list:
+        """Three random keys plus the die's calibrated key."""
+        rng = np.random.default_rng(23)
+        return [ConfigWord.random(rng) for _ in range(3)] + [
+            calibrated(chip, standard).config
+        ]
+
+    @pytest.mark.parametrize("std_index", [0, 3])
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_sfdr_equals_the_original_formula(self, backend, std_index,
+                                              monkeypatch):
+        monkeypatch.setattr(get_default_engine(), "backend", backend)
+        chip, std = die(0), STANDARDS[std_index]
+        keys = self.keys(chip, std)
+        half = std.fs / (4.0 * chip.design.osr)
+        n = 4 * N  # the two tones need a few bins of spacing
+        f1 = coherent_frequency(std.f_center + 0.15 * half, std.fs, n)
+        f2 = coherent_frequency(f1 + SFDR_DELTA_HZ, std.fs, n)
+        f_lo, f_hi = signal_band(std, chip.design.osr)
+        for seed, key in enumerate(keys):
+            result = chip.simulate_modulator(
+                key, ToneStimulus.two_tone(f1, f2, SFDR_POWER_DBM), std.fs,
+                n_samples=n, seed=seed, substeps=4,
+            )
+            expected = two_tone_sfdr(
+                periodogram(result.output, std.fs), f1, f2, f_lo, f_hi,
+                search_bins=1,
+            )
+            got = measure_sfdr(chip, key, std, n_fft=n, seed=seed)
+            assert bits(got) == bits(expected)
+        batch = measure_sfdr_batch(chip, keys, std, n_fft=n)
+        assert [bits(m) for m in batch] == [
+            bits(measure_sfdr(chip, key, std, n_fft=n)) for key in keys
+        ]
+
+    @pytest.mark.parametrize("std_index", [0, 3])
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_receiver_snr_equals_the_original_formula(self, backend,
+                                                      std_index,
+                                                      monkeypatch):
+        monkeypatch.setattr(get_default_engine(), "backend", backend)
+        chip, std = die(0), STANDARDS[std_index]
+        keys = self.keys(chip, std)
+        n_baseband = 128
+        osr = chip.design.osr
+        f_sig = stimulus_frequency(std, osr, n_baseband * osr)
+        half = std.fs / (4.0 * osr)
+        for seed, key in enumerate(keys):
+            result = chip.simulate_receiver(
+                key, ToneStimulus.single(f_sig, -25.0), std.fs,
+                n_baseband=n_baseband, seed=seed, substeps=4,
+            )
+            expected = band_snr(
+                periodogram(result.baseband, result.fs_out),
+                f_sig - std.fs / 4.0, -half, half,
+            )
+            got = measure_receiver_snr(
+                chip, key, std, n_baseband=n_baseband, seed=seed
+            )
+            assert bits(got) == bits(expected)
+        batch = measure_receiver_snr_batch(
+            chip, keys, std, n_baseband=n_baseband
+        )
+        assert [bits(m) for m in batch] == [
+            bits(measure_receiver_snr(chip, key, std, n_baseband=n_baseband))
+            for key in keys
+        ]
+
+    @pytest.mark.parametrize("std_index", [0, 3])
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_spectrum_equals_the_original_formula(self, backend, std_index,
+                                                  monkeypatch):
+        monkeypatch.setattr(get_default_engine(), "backend", backend)
+        chip, std = die(0), STANDARDS[std_index]
+        f_sig = stimulus_frequency(std, chip.design.osr, N)
+        for seed, key in enumerate(self.keys(chip, std)):
+            result = chip.simulate_modulator(
+                key, ToneStimulus.single(f_sig, -25.0), std.fs,
+                n_samples=N, seed=seed, substeps=4,
+            )
+            expected = periodogram(result.output, std.fs)
+            got = modulator_output_spectrum(chip, key, std, n_fft=N,
+                                            seed=seed)
+            assert pickle.dumps(got) == pickle.dumps(expected)
 
 
 class TestMemoKeys:

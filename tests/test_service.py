@@ -125,6 +125,70 @@ class TestProvisioningFirstClass:
             FoundryService().submit(ProvisioningJob(triples=((2020, 0, 0),)))
 
 
+#: One lot's provisioning triples for the driver differentials.
+PROVISION_TRIPLES = tuple(
+    (2021, chip_id, std) for chip_id in range(6) for std in (0, 3)
+)
+
+
+def stored_fields(store_path, triples) -> list:
+    """Every stored calibration result, field by field, as the pickle
+    bytes of each field's value (a bitwise comparison)."""
+    return [
+        {
+            field.name: pickle.dumps(getattr(result, field.name))
+            for field in dataclasses.fields(result)
+        }
+        for result in CalibrationStore(store_path).get_many(triples)
+    ]
+
+
+class TestOneProvisioningDriver:
+    """Every provisioning pass runs as ``min(n_workers, len(missing))``
+    lockstep sub-lots through ``provision_fleet``: the stored results
+    equal the one-worker pass field by field, each triple is computed
+    once, and each sub-lot streams one ``"provision"`` event."""
+
+    def test_worker_counts_store_the_one_worker_pass(self, tmp_path):
+        expected = None
+        for n_workers in (1, 2, 3):
+            store = str(tmp_path / f"store{n_workers}")
+            handle = FoundryService().submit(
+                ProvisioningJob(
+                    triples=PROVISION_TRIPLES,
+                    calibration_store=store,
+                    n_workers=n_workers,
+                )
+            )
+            events = list(handle.stream())
+            assert handle.result() == len(PROVISION_TRIPLES)
+            assert [e.kind for e in events] == ["provision"] * n_workers
+            assert sorted(
+                t for e in events for t in e.payload
+            ) == sorted(PROVISION_TRIPLES)
+            assert len(CalibrationStore(store).compute_events()) == len(
+                PROVISION_TRIPLES
+            )
+            got = stored_fields(store, PROVISION_TRIPLES)
+            if expected is None:
+                expected = got
+            assert got == expected, n_workers
+
+    def test_sub_lots_split_the_sorted_triples(self):
+        from repro.service.service import provisioning_tasks
+
+        missing = sorted(PROVISION_TRIPLES)
+        for n_workers in (1, 2, 5, 12, 40):
+            tasks = provisioning_tasks(missing, n_workers)
+            assert len(tasks) == min(n_workers, len(missing))
+            sizes = [len(task.triples) for task in tasks]
+            assert max(sizes) - min(sizes) <= 1
+            assert sorted(
+                t for task in tasks for t in task.triples
+            ) == missing
+        assert provisioning_tasks([], 3) == []
+
+
 class TestJobLifecycle:
     def test_status_transitions_to_completed(self):
         handle = FoundryService().submit(
