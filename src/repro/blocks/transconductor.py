@@ -31,6 +31,15 @@ class InputTransconductor:
             raise ValueError(f"gmin code {code} out of range")
         return code * self.design.gmin_lsb * self.variations.gmin_scale * bias_scale
 
+    def gm_vlin(self, code: int, bias_scale: float = 1.0) -> float:
+        """Current scale ``gm * vlin`` of the characteristic, amperes."""
+        return self.gm(code, bias_scale) * self.design.gmin_vlin
+
+    def limiting_shape(self, v_in: np.ndarray) -> np.ndarray:
+        """Soft-limiting shape ``tanh(v / vlin)`` of a voltage waveform;
+        it depends on no code, so one waveform's shape serves them all."""
+        return np.tanh(np.asarray(v_in, dtype=float) / self.design.gmin_vlin)
+
     def output_current(
         self,
         v_in: np.ndarray,
@@ -41,11 +50,9 @@ class InputTransconductor:
         """Output current waveform for an input voltage waveform.
 
         The soft-limited characteristic is
-        ``i = gm * vlin * tanh(v / vlin)``; its cubic term sets the
-        block's IIP3.
+        ``i = gm * vlin * tanh(v / vlin)``, :meth:`gm_vlin` times
+        :meth:`limiting_shape`; its cubic term sets the block's IIP3.
         """
         if not enabled:
             return np.zeros_like(np.asarray(v_in, dtype=float))
-        gm = self.gm(code, bias_scale)
-        vlin = self.design.gmin_vlin
-        return gm * vlin * np.tanh(np.asarray(v_in, dtype=float) / vlin)
+        return self.gm_vlin(code, bias_scale) * self.limiting_shape(v_in)

@@ -99,11 +99,18 @@ cache: calibration results keyed by ``(chip_id, standard_index)``, and
 per-chip ZOH tank discretisations keyed by ``(cc, cf, h)`` (held on the
 :class:`~repro.receiver.receiver.Chip`, since they are chip state like
 its block set).  Two further run-scoped memos share the sampled RF
-stimulus waveform and the drawn measurement records (VGLNA output and
-noise/dither draws — pure functions of chip, stimulus, time grid, seed
-and the two input-path config fields) across the keys of one batch; a
-session driver may carry the latter across submissions via
-``run_multi(..., noise_cache=)``, as the fleet calibrator does.  One
+stimulus waveform and the drawn measurement records (the Gmin's
+soft-limiting shape of the VGLNA output, and the noise/dither draws —
+pure functions of chip, stimulus, time grid, seed and the two
+input-path config fields) across the keys of one batch; a session
+driver may carry the latter across submissions via ``run_multi(...,
+noise_cache=)``, as the fleet calibrator does.  Plans reference those
+shared records rather than copying them: a key's only own input-path
+value is its Gmin current scale ``gm_vlin``, and each backend forms
+the input current ``gm_vlin * shape + i_noise`` itself (Gmin-off keys
+carry ``0.0`` and one process-wide zeros record), so the per-key
+hand-off scales with the distinct records, not with keys times record
+length — bit for bit, by the argument in :mod:`repro.engine.plan`.  One
 level up, an in-process ``ExperimentJob`` attaches a job-scoped
 ``measurement_memo`` of finished modulator-SNR measurements, keyed by
 die content, key, standard, power, record length, seed and substeps

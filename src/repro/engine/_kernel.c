@@ -15,11 +15,21 @@
  *
  * The batch ABI carries the per-key state (v, i_L) over the key axis:
  * each input is an array of per-key row pointers, and the outer loop
- * walks keys while the inner recursion walks time.  Keys are
- * independent — each key reads only its own rows and parameter block
- * and writes only its own output rows — so the key loop is also the
- * kernel's second axis of parallelism: when the library is built with
- * pthreads, keys are distributed over a per-call worker team pulling
+ * walks keys while the inner recursion walks time.  Keys that share a
+ * record share its pointer: the tank input current arrives as two
+ * records, the Gmin shape and the current noise, plus the per-key
+ * scale P_GM_VLIN, and the kernel forms
+ *
+ *     i_in[m] = gm_vlin * shape[m] + i_noise[m]
+ *
+ * itself — the two IEEE operations the reference loop's NumPy
+ * expression performs, kept two roundings by -ffp-contract=off (the
+ * exactness argument is in repro/engine/plan.py).  Keys are
+ * independent — each key reads only its parameter block and input
+ * rows (shared rows are read-only) and writes only its own output
+ * rows — so the key loop is also the kernel's second axis of
+ * parallelism: when the library is built with pthreads, keys are
+ * distributed over a per-call worker team pulling
  * from an atomic counter (dynamic scheduling).  Thread count cannot
  * change any result (per-key arithmetic is untouched and there is no
  * shared mutable state), so 1-vs-N-thread runs are bit-identical;
@@ -89,12 +99,13 @@ enum {
     P_I_DAC_UNIT, P_CHOP_OFFSET, P_DECISION_SIGMA, P_HYSTERESIS,
     P_GV, P_VSAT, P_PREAMP_GAIN, P_V_CLIP, P_BUF_GAIN,
     P_BUFFER_GAIN, P_BUFFER_CLAMP, P_BUFFER_NOISE, P_V0, P_IL0,
+    P_GM_VLIN,
     N_PARAMS
 };
 
 static void simulate_key(
     int n_samples, int substeps,
-    const double *i_in, const double *comp_noise,
+    const double *shape, const double *i_noise, const double *comp_noise,
     const double *comp_noise_out, const double *dither,
     const double *p,
     double *output, double *bits, double *tank_v)
@@ -117,6 +128,7 @@ static void simulate_key(
     const double buffer_gain = p[P_BUFFER_GAIN];
     const double buffer_clamp = p[P_BUFFER_CLAMP];
     const double buffer_noise = p[P_BUFFER_NOISE];
+    const double gm_vlin = p[P_GM_VLIN];
 
     double chop_sign = 1.0;
     double v = p[P_V0], il = p[P_IL0];
@@ -180,9 +192,10 @@ static void simulate_key(
                 i_fb = 0.0;
             }
             double i_gmq = gv * tanh(v / vsat);
+            double i_in = gm_vlin * shape[base + j] + i_noise[base + j];
             /* +i_fb is the stable, noise-shaping polarity — see the
              * reference loop for the fs/4 phasing argument. */
-            double u = i_in[base + j] + i_gmq + i_fb;
+            double u = i_in + i_gmq + i_fb;
             double vn = a11 * v + a12 * il + b1 * u;
             double iln = a21 * v + a22 * il + b2 * u;
             v = vn;
@@ -203,7 +216,8 @@ typedef double vd4 __attribute__((vector_size(32)));
 
 struct batch_task {
     int n_keys, n_samples, substeps;
-    const double *const *i_in;
+    const double *const *shape;
+    const double *const *i_noise;
     const double *const *comp_noise;
     const double *const *comp_noise_out;
     const double *const *dither;
@@ -224,8 +238,8 @@ struct batch_task {
 
 static void run_key(const struct batch_task *t, int k)
 {
-    simulate_key(t->n_samples, t->substeps, t->i_in[k], t->comp_noise[k],
-                 t->comp_noise_out[k], t->dither[k],
+    simulate_key(t->n_samples, t->substeps, t->shape[k], t->i_noise[k],
+                 t->comp_noise[k], t->comp_noise_out[k], t->dither[k],
                  t->params + k * N_PARAMS,
                  t->output[k], t->bits[k], t->tank_v[k]);
 }
@@ -237,8 +251,10 @@ static void run_key(const struct batch_task *t, int k)
  * vector ops are the per-lane IEEE scalar ops in the same order, and
  * tanh goes through the scalar libm call per lane (LANE_TANH).  The
  * per-sample records are read from a transposed key-inner scratch
- * (sample-major, lane-minor) filled once per pack; failure to allocate
- * it falls back to the scalar walk, results unchanged. */
+ * (sample-major, lane-minor) filled once per pack — the input current
+ * formed per lane on the way in, exactly as the scalar walk forms it,
+ * so lanes of one pack may mix Gmin codes and Gmin-off keys; failure
+ * to allocate it falls back to the scalar walk, results unchanged. */
 #define DEFINE_SIMULATE_LANES(L, VD, NAME)                                    \
 static void NAME(const struct batch_task *t, int k0)                          \
 {                                                                             \
@@ -285,9 +301,11 @@ static void NAME(const struct batch_task *t, int k0)                          \
     double *cno_t = cn_t + (size_t)L * n_samples;                             \
     double *dith_t = cno_t + (size_t)L * n_samples;                           \
     for (int l = 0; l < L; l++) {                                             \
-        const double *src = t->i_in[k0 + l];                                  \
+        const double gm_vlin = p[l][P_GM_VLIN];                               \
+        const double *shape = t->shape[k0 + l];                               \
+        const double *i_noise = t->i_noise[k0 + l];                           \
         for (size_t m = 0; m < n_sub; m++)                                    \
-            iin_t[m * L + l] = src[m];                                        \
+            iin_t[m * L + l] = gm_vlin * shape[m] + i_noise[m];               \
         const double *cn = t->comp_noise[k0 + l];                             \
         const double *cno = t->comp_noise_out[k0 + l];                        \
         const double *dith = t->dither[k0 + l];                               \
@@ -505,7 +523,8 @@ static int same_mode(const double *params, int a, int b)
 
 void repro_simulate_batch(
     int n_keys, int n_samples, int substeps,
-    const double *const *i_in, const double *const *comp_noise,
+    const double *const *shape, const double *const *i_noise,
+    const double *const *comp_noise,
     const double *const *comp_noise_out, const double *const *dither,
     const double *params,
     double *const *output, double *const *bits, double *const *tank_v,
@@ -513,7 +532,7 @@ void repro_simulate_batch(
 {
     struct batch_task task = {
         n_keys, n_samples, substeps,
-        i_in, comp_noise, comp_noise_out, dither, params,
+        shape, i_noise, comp_noise, comp_noise_out, dither, params,
         output, bits, tank_v,
         0, 0, n_keys, 0,
     };

@@ -18,7 +18,25 @@ Why C is bit-exact with the Python reference loop:
   multiply-adds into differently-rounded FMAs.
 
 ``tests/test_engine.py`` holds the equivalence property over mixed-mode
-batches.
+batches, and pins the outputs' bytes on both backends.
+
+Kernel ABI
+----------
+
+``repro_simulate_batch`` takes, per key, a row of the ``(keys,
+len(PARAM_FIELDS))`` parameter matrix and one pointer in each of the
+record tables: the Gmin shape, the tank current noise (one sample per
+substep each), the two comparator noise records and the dither (one
+per sample).  Plans share records (see :mod:`repro.engine.plan`), so
+the tables repeat addresses: they are address arrays built by
+:func:`_pointer_table`, which checks each distinct array's dtype,
+length and layout and looks its address up once.  The parameter row
+carries the per-key Gmin scale ``gm_vlin``, and the kernel forms the
+input current ``gm_vlin * shape[m] + i_noise[m]`` as it reads the
+records.  The three output tables point at fresh per-key arrays.
+``PARAM_FIELDS`` must match the kernel's parameter ``enum``; the
+loader refuses a library whose parameter count differs (a stale
+build).
 
 Threading model
 ---------------
@@ -66,8 +84,10 @@ clamped worker-team model and exactness contract; see
 
 from __future__ import annotations
 
+import array
 import ctypes
 import hashlib
+import operator
 import os
 import shutil
 import subprocess
@@ -88,7 +108,10 @@ PARAM_FIELDS = (
     "i_dac_unit", "chop_offset", "decision_sigma", "hysteresis",
     "gv", "vsat", "preamp_gain", "v_clip", "buf_gain",
     "buffer_gain", "buffer_clamp", "buffer_noise", "v0", "il0",
+    "gm_vlin",
 )
+
+_plan_params = operator.attrgetter(*PARAM_FIELDS)
 
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 
@@ -104,7 +127,10 @@ _lib: ctypes.CDLL | None = None
 _lib_checked = False
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-_DOUBLE_PP = ctypes.POINTER(_DOUBLE_P)
+#: A :func:`_pointer_table`'s address (``double *const *`` in C).
+_TABLE = ctypes.c_void_p
+#: ``array`` typecode of an unsigned integer as wide as a data address.
+_ADDRESS = "Q" if ctypes.sizeof(ctypes.c_void_p) == 8 else "I"
 
 
 def _cache_dir() -> Path:
@@ -160,16 +186,16 @@ def _build_one(flags: tuple[str, ...]) -> ctypes.CDLL | None:
         return None  # stale ABI; refuse rather than corrupt results
     lib.repro_simulate_batch.argtypes = [
         ctypes.c_int, ctypes.c_int, ctypes.c_int,
-        _DOUBLE_PP, _DOUBLE_PP, _DOUBLE_PP, _DOUBLE_PP,
+        _TABLE, _TABLE, _TABLE, _TABLE, _TABLE,
         _DOUBLE_P,
-        _DOUBLE_PP, _DOUBLE_PP, _DOUBLE_PP,
+        _TABLE, _TABLE, _TABLE,
         ctypes.c_int, ctypes.c_int,
     ]
     lib.repro_simulate_batch.restype = None
     lib.repro_fir_batch.argtypes = [
-        ctypes.c_int, ctypes.c_int, _DOUBLE_PP,
+        ctypes.c_int, ctypes.c_int, _TABLE,
         ctypes.c_int, _DOUBLE_P,
-        _DOUBLE_PP, ctypes.c_int,
+        _TABLE, ctypes.c_int,
     ]
     lib.repro_fir_batch.restype = ctypes.c_int
     return lib
@@ -420,11 +446,31 @@ def kernel_max_threads() -> int:
         return 1
 
 
-def _pointer_array(arrays: Sequence[np.ndarray]) -> ctypes.Array:
-    ptrs = (_DOUBLE_P * len(arrays))()
-    for i, a in enumerate(arrays):
-        ptrs[i] = a.ctypes.data_as(_DOUBLE_P)
-    return ptrs
+def _pointer_table(arrays: Sequence[np.ndarray], length: int) -> array.array:
+    """The data addresses of ``arrays``, as a table whose address
+    (``buffer_info()[0]``) a kernel takes as a ``double *const *``
+    argument.
+
+    Plans share records, so each distinct array is checked and its
+    address looked up once.  Each must be a C-contiguous float64 record
+    of ``length`` samples.  The caller holds the arrays and the table
+    until the kernel call returns.
+    """
+    address: dict[int, int] = {}
+    for a in arrays:
+        if id(a) in address:
+            continue
+        if (
+            a.dtype != np.float64
+            or a.shape != (length,)
+            or not a.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"kernel records must be C-contiguous float64 of "
+                f"{length} samples, got {a.dtype} {a.shape}"
+            )
+        address[id(a)] = a.ctypes.data
+    return array.array(_ADDRESS, [address[id(a)] for a in arrays])
 
 
 def simulate_plans_native(plans: Sequence[KeyPlan]) -> list[ModulatorResult]:
@@ -434,23 +480,26 @@ def simulate_plans_native(plans: Sequence[KeyPlan]) -> list[ModulatorResult]:
     n_keys = len(plans)
     n_samples = plans[0].n_samples
     substeps = plans[0].substeps
-    params = np.empty((n_keys, len(PARAM_FIELDS)))
-    for k, plan in enumerate(plans):
-        for j, name in enumerate(PARAM_FIELDS):
-            params[k, j] = float(getattr(plan, name))
-    i_in = [np.ascontiguousarray(p.i_in) for p in plans]
-    comp_noise = [np.ascontiguousarray(p.comp_noise) for p in plans]
-    comp_noise_out = [np.ascontiguousarray(p.comp_noise_out) for p in plans]
-    dither = [np.ascontiguousarray(p.dither) for p in plans]
+    params = np.array([_plan_params(p) for p in plans], dtype=np.float64)
+    # Per-key outputs: one block per batch would keep every key's block
+    # alive for as long as any one of its results is held.
     output = [np.empty(n_samples) for _ in plans]
     bits = [np.empty(n_samples) for _ in plans]
     tank_v = [np.empty(n_samples) for _ in plans]
+    n_sub = n_samples * substeps
+    inputs = [
+        _pointer_table([p.gmin_shape for p in plans], n_sub),
+        _pointer_table([p.i_noise for p in plans], n_sub),
+        _pointer_table([p.comp_noise for p in plans], n_samples),
+        _pointer_table([p.comp_noise_out for p in plans], n_samples),
+        _pointer_table([p.dither for p in plans], n_samples),
+    ]
+    outputs = [_pointer_table(out, n_samples) for out in (output, bits, tank_v)]
     _lib.repro_simulate_batch(
         n_keys, n_samples, substeps,
-        _pointer_array(i_in), _pointer_array(comp_noise),
-        _pointer_array(comp_noise_out), _pointer_array(dither),
+        *[table.buffer_info()[0] for table in inputs],
         params.ctypes.data_as(_DOUBLE_P),
-        _pointer_array(output), _pointer_array(bits), _pointer_array(tank_v),
+        *[table.buffer_info()[0] for table in outputs],
         kernel_threads(), kernel_simd_lanes(),
     )
     return [
@@ -493,13 +542,14 @@ def fir_batch_native(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
         return np.empty((0, out_n))
     if n_in == 0:
         raise ValueError("samples cannot be empty")  # as np.convolve
-    rows = [np.ascontiguousarray(x[r]) for r in range(n_rows)]
+    x = np.ascontiguousarray(x)
     out = np.empty((n_rows, out_n))
-    out_rows = [out[r] for r in range(n_rows)]
+    rows = _pointer_table(list(x), n_in)
+    out_rows = _pointer_table(list(out), out_n)
     rc = _lib.repro_fir_batch(
-        n_rows, n_in, _pointer_array(rows),
+        n_rows, n_in, rows.buffer_info()[0],
         taps.size, taps.ctypes.data_as(_DOUBLE_P),
-        _pointer_array(out_rows), kernel_threads(),
+        out_rows.buffer_info()[0], kernel_threads(),
     )
     if rc != 0:  # pragma: no cover - scratch allocation failure
         raise MemoryError("repro_fir_batch could not allocate scratch")

@@ -3,12 +3,12 @@
 Bit-exactness between the reference and vectorized backends rests on
 the invariants enforced here and in :mod:`repro.engine.native`:
 
-1. Every input the time recursion consumes — the input-current record,
-   the noise/dither draws, the discretised tank matrices, all derived
-   block constants — is computed once, in the exact RNG draw order of
-   the original scalar simulator, and stored in a :class:`KeyPlan` that
-   every backend reads.  Backends only integrate; they never draw
-   randomness or evaluate chip models.
+1. Every input the time recursion consumes — the input-current
+   factors, the noise/dither draws, the discretised tank matrices, all
+   derived block constants — is computed once, in the exact RNG draw
+   order of the original scalar simulator, and stored in a
+   :class:`KeyPlan` that every backend reads.  Backends only integrate;
+   they never draw randomness or evaluate chip models.
 2. The recursion itself is IEEE-754 double add/mul/div (deterministic
    given operand order, which all backends keep identical) plus a
    single transcendental, ``tanh`` — and CPython's ``math.tanh`` and
@@ -17,12 +17,39 @@ the invariants enforced here and in :mod:`repro.engine.native`:
    some inputs, enough to eventually flip a comparator decision in a
    feedback loop, which is why the vectorized backend is a compiled
    kernel rather than a ufunc pipeline.)
+
+The tank input current
+----------------------
+
+The input current is the Gmin output plus the tank current noise,
+``i_in = gm_vlin * shape + i_noise``, where ``shape = tanh(v_lna /
+vlin)`` is the Gmin's soft-limiting shape of the VGLNA output and
+``gm_vlin = gm(code, bias_scale) * vlin`` its per-key current scale
+(:class:`~repro.blocks.transconductor.InputTransconductor`).  Only the
+scalar depends on the key; ``shape`` and ``i_noise`` depend on the
+drawn records alone, so a plan carries *references* to those shared
+records plus ``gm_vlin`` and each backend forms ``i_in`` itself: the
+reference loop with NumPy's ``gm_vlin * shape + i_noise``, the kernel
+with the same two operations per sample (``-ffp-contract=off`` keeps
+them two roundings, never an FMA).  That is bit for bit the block's
+``output_current(v_lna) + i_noise``: ``output_current`` evaluates
+``(gm * vlin) * tanh(v / vlin)`` — the product of the same scalar and
+the same array, each element one IEEE multiply — and the sum is the
+same elementwise IEEE add.  With the Gmin off, ``output_current`` is a
+zeros array; the plan carries ``gm_vlin = 0.0`` and a shared zeros
+record, so each element is ``0.0 * 0.0 = +0.0`` and then ``+0.0 +
+i_noise`` — again the same add of the same operands.  (A real shape
+would not do: ``0.0 * shape`` is ``-0.0`` wherever the shape is
+negative, and ``-0.0 + -0.0`` keeps a sign that ``+0.0 + -0.0``
+drops.)  ``tests/test_engine.py`` pins the outputs' bytes on both
+backends.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import MutableMapping
 
 import numpy as np
@@ -30,6 +57,16 @@ from scipy.linalg import expm
 
 from repro.engine.request import ModulatorRequest
 from repro.receiver.sdm import ModulatorBlocks
+
+
+@lru_cache(maxsize=8)
+def _zeros(n: int) -> np.ndarray:
+    """The Gmin-off plans' shape record: ``n`` zeros, read-only and
+    shared process-wide.  It lives outside every session noise cache,
+    whose entries are all per die."""
+    zeros = np.zeros(n)
+    zeros.flags.writeable = False
+    return zeros
 
 
 def discretise_tank(
@@ -47,9 +84,11 @@ class KeyPlan:
     """Everything one key's transient simulation needs, precomputed.
 
     Attributes are grouped as: time grid, per-substep/per-sample input
-    records (``i_in``, noise, dither), the discretised tank update, the
-    loop-topology mode flags, and the per-key block constants.  A plan
-    is backend-agnostic; backends must not draw randomness or evaluate
+    records (the tank input current's factors, noise, dither), the
+    discretised tank update, the loop-topology mode flags, and the
+    per-key block constants.  The records are shared between the plans
+    of one noise-cache entry and are read-only.  A plan is
+    backend-agnostic; backends must not draw randomness or evaluate
     chip models — only integrate.
     """
 
@@ -58,7 +97,9 @@ class KeyPlan:
     n_samples: int
     substeps: int
     # -- input records ----------------------------------------------------
-    i_in: np.ndarray  # (n_samples * substeps,) tank input current
+    gm_vlin: float  # Gmin current scale gm * vlin (0.0 with the Gmin off)
+    gmin_shape: np.ndarray  # (n_samples * substeps,) tanh(v_lna / vlin), or zeros
+    i_noise: np.ndarray  # (n_samples * substeps,) tank current noise
     comp_noise: np.ndarray  # (n_samples,) unit-normal decision noise
     comp_noise_out: np.ndarray  # (n_samples,) unit-normal buffer output noise
     dither: np.ndarray  # (n_samples,) dither voltage (zeros when disabled)
@@ -113,20 +154,26 @@ def build_plan(
             measure many keys under one stimulus, so the engine shares
             the tone evaluation across a batch; sampling is
             deterministic, so caching cannot change results.
-        noise_cache: Optional memo for the drawn record tuple
-            ``(v_lna, i_noise, comp_noise, comp_noise_out, dither)``,
-            keyed by everything those records depend on: the chip's
-            block set, the stimulus/time grid, the measurement seed and
-            the two configuration fields that enter the input path
-            (``lna_gain``; ``dither_en`` gates a draw).  Sweeps measure
-            many keys under one seed and one stimulus — a calibration
-            probe set, a key sweep, a fleet round — and for all of them
-            these records are *the same values*: the RNG stream is a
+        noise_cache: Optional memo for the record tuple
+            ``(gmin_shape, i_noise, comp_noise, comp_noise_out,
+            dither)`` — the drawn records, with the VGLNA output kept
+            only as the Gmin shape ``tanh(v_lna / vlin)``, its one
+            consumer — keyed by everything those records depend on:
+            the chip's block set, the stimulus/time grid, the
+            measurement seed and the two configuration fields that
+            enter the input path (``lna_gain``; ``dither_en`` gates a
+            draw).  Sweeps measure many keys under one seed and one
+            stimulus — a calibration probe set, a key sweep, a fleet
+            round — and for all of them these records are *the same
+            values*: the RNG stream is a
             pure function of the seed, and the cached entry is computed
             by this very code path on its first request, so a hit
             reuses bitwise-identical arrays (backends treat plan
             records as read-only).  Sharing cannot change results, it
-            only removes redundant draws and VGLNA evaluations.
+            only removes redundant draws, VGLNA evaluations and Gmin
+            shapes.  Plans reference the cached records; the module
+            docstring says why the backends then form each key's
+            ``i_in`` bit for bit.
     """
     config = request.config
     n_samples = request.n_samples
@@ -164,7 +211,7 @@ def build_plan(
     # new die that recycled a garbage-collected blocks' id.
     cached = noise_cache.get(noise_key) if noise_cache is not None else None
     if cached is not None and cached[0] is blocks:
-        _, v_lna, i_noise, comp_noise, comp_noise_out, dither = cached
+        _, gmin_shape, i_noise, comp_noise, comp_noise_out, dither = cached
     else:
         rng = np.random.default_rng(request.seed)
         # Input path, fully vectorised: RF tones -> VGLNA.
@@ -179,6 +226,7 @@ def build_plan(
         v_lna = blocks.vglna.process(
             v_rf, config.lna_gain, bandwidth=0.5 / h, rng=rng
         )
+        gmin_shape = blocks.gmin.limiting_shape(v_lna)
         # Tank current noise, piecewise constant per substep.
         sigma_i = blocks.tank_current_noise * math.sqrt(0.5 / h)
         i_noise = rng.normal(0.0, sigma_i, v_lna.shape)
@@ -192,16 +240,16 @@ def build_plan(
         if noise_cache is not None:
             noise_cache[noise_key] = (
                 blocks,
-                v_lna,
+                gmin_shape,
                 i_noise,
                 comp_noise,
                 comp_noise_out,
                 dither,
             )
-    i_sig = blocks.gmin.output_current(
-        v_lna, config.gmin_code, enabled=bool(config.gmin_en), bias_scale=bias_scale
-    )
-    i_in = i_sig + i_noise
+    if config.gmin_en:
+        gm_vlin = blocks.gmin.gm_vlin(config.gmin_code, bias_scale)
+    else:
+        gm_vlin, gmin_shape = 0.0, _zeros(i_noise.size)
 
     feedback_on = bool(config.fb_en) and bool(config.dac_en)
     clocked = bool(config.comp_clk_en)
@@ -220,7 +268,9 @@ def build_plan(
         fs=fs,
         n_samples=n_samples,
         substeps=substeps,
-        i_in=i_in,
+        gm_vlin=gm_vlin,
+        gmin_shape=gmin_shape,
+        i_noise=i_noise,
         comp_noise=comp_noise,
         comp_noise_out=comp_noise_out,
         dither=dither,

@@ -52,7 +52,9 @@ def simulate_plan(plan: KeyPlan) -> ModulatorResult:
     output = np.empty(n_samples)
     bits = np.empty(n_samples)
     tank_v = np.empty(n_samples)
-    i_in_list = plan.i_in.tolist()
+    # The tank input current, formed as in the kernel (see the
+    # repro.engine.plan docstring for the exactness argument).
+    i_in_list = (plan.gm_vlin * plan.gmin_shape + plan.i_noise).tolist()
 
     for n in range(n_samples):
         tank_v[n] = v

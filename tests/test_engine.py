@@ -3,6 +3,8 @@ mixed-chip batches, engine-owned caches (the cross-process store and
 its concurrency semantics included), request validation and the runner
 registry."""
 
+import dataclasses
+import hashlib
 import multiprocessing
 import time
 
@@ -123,6 +125,81 @@ class TestBitExactness:
         vec = SimulationEngine(backend="vectorized").run_receiver_one(chip, request)
         assert np.array_equal(ref.baseband, vec.baseband)
         assert ref.fs_out == vec.fs_out
+
+
+def _pinned_requests():
+    """A fixed request set over every input-path variant the plan
+    builds: Gmin on and off, clocked / buffer / oscillation loops,
+    dither on and off, each under two seeds."""
+    base = ConfigWord(
+        lna_gain=7, cc_coarse=10, cf_fine=128, gmq_code=20, gmin_code=24,
+        preamp_code=20, comp_code=31, dac_code=32, delay_code=12,
+        buffer_code=4,
+    )
+    configs = [
+        base,  # clocked, Gmin on, dither off
+        base.replace(dither_en=1, gmin_code=40),  # clocked, dither on
+        base.replace(gmin_en=0),  # clocked, Gmin off
+        base.replace(comp_clk_en=0),  # buffer mode, Gmin on
+        base.replace(comp_clk_en=0, gmin_en=0, dither_en=1),  # buffer, off
+        oscillation_config(base),  # free-running tank, Gmin off
+    ]
+    stim = _stim()
+    return [
+        ModulatorRequest(
+            config=config,
+            stimulus=ToneStimulus.off() if i == 5 else stim,
+            fs=STD.fs,
+            n_samples=N,
+            seed=seed,
+            initial_state=(1e-3, 0.0) if i == 5 else (0.0, 0.0),
+        )
+        for seed in (7, 8)
+        for i, config in enumerate(configs)
+    ]
+
+
+#: sha256 (first 16 hex digits) of each pinned request's ``output``,
+#: ``bits`` and ``tank_voltage`` bytes, in that order, on the default
+#: chip.  Recorded on x86-64 Linux (glibc libm, NumPy 2.4, SciPy 1.17);
+#: the values rest on the platform's libm ``tanh``, NumPy's RNG streams
+#: and ``tanh``, and SciPy's ``expm``, like ``perfbench/digests.json``.
+PINNED_DIGESTS = (
+    "1983a21011f06c98",
+    "e18a3d96760ac3b9",
+    "e4b3f38521a5ad19",
+    "f66fd66a75e4eabf",
+    "71310579f2cc921b",
+    "85a5b2193ed6481b",
+    "c1ce146ac69ae4cc",
+    "942444bcf005ac9b",
+    "2051c0c3981a81a0",
+    "9da2e404b5b53e52",
+    "621ba871d86ab800",
+    "52f763e5ddd7921c",
+)
+
+
+class TestPinnedOutputs:
+    """Absolute outputs, not only backend agreement.
+
+    Every other engine guard is differential — backend against backend,
+    batch against lone run — so a change to a plan input that both
+    backends read the same way would pass all of them.  These digests
+    pin the bytes themselves."""
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_outputs_match_pinned_digests(self, chip, backend):
+        results = SimulationEngine(backend=backend).run(
+            chip, _pinned_requests()
+        )
+        digests = tuple(
+            hashlib.sha256(
+                r.output.tobytes() + r.bits.tobytes() + r.tank_voltage.tobytes()
+            ).hexdigest()[:16]
+            for r in results
+        )
+        assert digests == PINNED_DIGESTS
 
 
 class TestBatching:
@@ -444,6 +521,44 @@ class TestKernelSimd:
     @pytest.mark.skipif(
         not kernel_available(), reason="no C compiler: no lane path to test"
     )
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_lane_width_invariance_mixed_gmin(
+        self, chip, rng, monkeypatch, threads
+    ):
+        """The Gmin scale and record are per-lane data, not a mode: one
+        lane pack may mix Gmin-on keys of different codes with Gmin-off
+        keys, and every width, thread count and the kernel-disabled
+        fallback must still equal the reference backend."""
+        requests = [
+            ModulatorRequest(
+                config=r.config.replace(
+                    gmin_en=int(on), gmin_code=int(rng.integers(1, 64))
+                ),
+                stimulus=r.stimulus, fs=r.fs, n_samples=r.n_samples,
+                seed=r.seed % 3,
+            )
+            for r, on in zip(
+                _uniform_mode_requests(rng, 10),
+                (1, 0, 1, 1, 0, 1, 0, 0, 1, 0),
+            )
+        ]
+        ref = SimulationEngine(backend="reference").run(chip, requests)
+        monkeypatch.setenv("REPRO_ENGINE_THREADS", threads)
+        runs = self._run_all_widths(chip, requests, monkeypatch)
+        monkeypatch.setenv("REPRO_ENGINE_DISABLE_KERNEL", "1")
+        runs["no kernel"] = SimulationEngine(backend="vectorized").run(
+            chip, requests
+        )
+        for width, out in runs.items():
+            for i, (a, b) in enumerate(zip(ref, out)):
+                tag = f"SIMD={width}, threads={threads}, key {i}"
+                assert np.array_equal(a.output, b.output), tag
+                assert np.array_equal(a.bits, b.bits), tag
+                assert np.array_equal(a.tank_voltage, b.tank_voltage), tag
+
+    @pytest.mark.skipif(
+        not kernel_available(), reason="no C compiler: no lane path to test"
+    )
     @pytest.mark.parametrize("n_keys", [1, 2, 3, 5, 7, 9])
     def test_lane_width_invariance_odd_key_counts(
         self, chip, rng, monkeypatch, n_keys
@@ -476,6 +591,40 @@ class TestKernelSimd:
         monkeypatch.setenv("REPRO_ENGINE_DISABLE_KERNEL", "1")
         assert kernel_simd_width() == 0
         assert kernel_max_threads() == 1
+
+
+@pytest.mark.skipif(
+    not kernel_available(), reason="no C compiler: no pointer tables"
+)
+class TestPointerTables:
+    """The kernel's record tables check each distinct array before its
+    address goes to C, and the batch FIR takes any row layout."""
+
+    def test_malformed_record_refused(self, chip):
+        from repro.engine.native import simulate_plans_native
+        from repro.engine.plan import build_plan
+
+        plan = build_plan(chip.blocks, _pinned_requests()[0])
+        for bad in (
+            plan.i_noise[:-1],  # short
+            np.stack([plan.i_noise] * 2, axis=1)[:, 0],  # strided
+            plan.i_noise.astype(np.float32),  # single precision
+        ):
+            with pytest.raises(ValueError, match="kernel records"):
+                simulate_plans_native([dataclasses.replace(plan, i_noise=bad)])
+
+    def test_fir_strided_rows_match_transcription(self):
+        from repro.dsp import design_halfband
+        from repro.dsp.decimate import fir_same_pinned
+        from repro.engine.native import fir_batch_native
+
+        taps = design_halfband(31)
+        x = np.random.default_rng(4).standard_normal((4, 256))
+        for layout in (x[:, ::2], np.asfortranarray(x)):
+            assert not layout.flags.c_contiguous
+            assert np.array_equal(
+                fir_batch_native(layout, taps), fir_same_pinned(layout, taps)
+            )
 
 
 def _threaded_child_checksums(requests):
