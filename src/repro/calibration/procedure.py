@@ -36,8 +36,10 @@ decode) and receives each probe's decoded value via ``send``.
 
 One driver advances them: :meth:`Calibrator.calibrate_fleet` runs a
 lot's machines in lockstep, fusing every active die's probe into one
-engine batch per round, and :meth:`Calibrator.calibrate` is a lot of
-one.  ``Calibrator(batch_probing=False)`` keeps the scalar reference
+engine batch per round — per half-lot, with both half-lots in flight,
+where the kernel can integrate one beside the driver — and
+:meth:`Calibrator.calibrate` is a lot of one.
+``Calibrator(batch_probing=False)`` keeps the scalar reference
 driver (:meth:`Calibrator._drive`: one probe per engine call, each
 probe's own decode, an unbatched descent) that the differential tests
 hold the lockstep driver against.  The bit-exactness argument sits
@@ -639,31 +641,51 @@ class Calibrator:
         accepts moved.  The lot is not: every die walks the procedure
         independently.  So this driver builds one :meth:`machine` per
         die and advances them in rounds, each round fusing every active
-        die's pending probe into ONE
-        :meth:`~repro.engine.engine.SimulationEngine.run_multi`
-        submission — a bisection level of steps 5-6, a step-7 back-off
-        probe or a step-14 probe set (SNR and SFDR sweeps included),
-        whatever mixture the dies are at.  Dies whose machines return
-        (or that converge a search early, so yield fewer probes) drop
-        out of later rounds.
+        die's pending probe into one engine submission — a bisection
+        level of steps 5-6, a step-7 back-off probe or a step-14 probe
+        set (SNR and SFDR sweeps included), whatever mixture the dies
+        are at.  Dies whose machines return (or that converge a search
+        early, so yield fewer probes) drop out of later rounds.
+
+        **Half-lots.**  When the engine can integrate beside this
+        thread (:meth:`~repro.engine.engine.SimulationEngine.
+        can_overlap`: the threaded kernel with a helper to spare), the
+        lot runs as two interleaved half-lots, ``dies[0::2]`` and
+        ``dies[1::2]``, each with one submission in flight
+        (:meth:`~repro.engine.engine.SimulationEngine.start_multi`):
+        while the kernel integrates one half's round, this thread
+        finishes the other half's round, decodes it, advances its
+        machines and starts its next round.  Otherwise (the reference
+        backend, the no-compiler fallback, ``REPRO_ENGINE_THREADS=1``,
+        a one-core host) the whole lot is one half, one submission per
+        round, as a lot of one always is.  Every started run is
+        finished before this method returns, on failure too (a die
+        failing, or ``on_result`` raising, while one half settles
+        leaves the other half's run in flight), so no kernel helper
+        outlives the call.
 
         **Bit-exactness argument.**  A die's machine yields the same
         requests in the same order as under the scalar reference
         :meth:`_drive` — this loop only *regroups* them with other
-        dies' requests, and engine results are a pure function of the
-        individual request (the mixed-chip batch property of
-        ``run_multi``; the session ``noise_cache`` reuses a drawn
-        record only for a request of the same die with the same record
-        inputs, and a hit is bitwise the record a miss would draw).
-        Every decode is pure per-die post-processing — including the
-        *fused* frequency decode, which meters every active die's fosc
-        probe through one :func:`~repro.calibration.metering.
-        oscillation_frequency_batch` call per round, bit-identical per
-        record to each probe's own ``decode``.  So per-die keys,
-        scores, step logs and metered measurement counts are
-        bit-identical to the scalar reference's — held differentially
-        in ``tests/test_fleet_calibration.py`` across lot sizes,
-        standards mixes, backends and thread counts.
+        dies' requests into half-lot batches, and engine results are a
+        pure function of the individual request (the mixed-chip batch
+        property of ``run_multi``, whatever else is in flight; the
+        session ``noise_cache`` reuses a drawn record only for a
+        request of the same die with the same record inputs, and a hit
+        is bitwise the record a miss would draw, so drawing one half's
+        records before the other half's decode moves no bit).  The
+        caller working through packs at finish is one more worker on
+        the kernel's atomic counter, which thread-count invariance
+        already covers.  Every decode is pure per-die post-processing
+        — including the *fused* frequency decode, which meters every
+        active die's fosc probe through one
+        :func:`~repro.calibration.metering.oscillation_frequency_batch`
+        call per half-round, bit-identical per record to each probe's
+        own ``decode``.  So per-die keys, scores, step logs and metered
+        measurement counts are bit-identical to the scalar reference's
+        — held differentially in ``tests/test_fleet_calibration.py``
+        across lot sizes (uneven halves included), standards mixes,
+        backends and thread counts.
 
         Args:
             chips: The lot to provision.
@@ -730,19 +752,32 @@ class Calibrator:
                 if on_result is not None:
                     on_result(die, stop.value)
 
-        for die in range(len(machines)):
-            advance(die, None)
-        while pending:
-            active = sorted(pending)
-            # ONE fused engine submission: every active die's probe.
-            outs = engine.run_multi(
+        if engine.can_overlap():
+            halves = (range(0, len(chips), 2), range(1, len(chips), 2))
+        else:
+            # Nothing would integrate beside this thread: one submission
+            # per round, as for a lot of one, keeps the lane packs full.
+            halves = (range(len(chips)), range(0))
+
+        def start(h):
+            """Start ONE fused engine submission: every pending probe
+            of half ``h``'s active dies; None once the half is done."""
+            active = [die for die in halves[h] if die in pending]
+            if not active:
+                return None
+            return active, engine.start_multi(
                 [
                     (chips[die], request)
                     for die in active
                     for request in pending[die].requests
                 ],
                 noise_cache=noise_cache,
+                # Overlapped when the other half has probes pending:
+                # this thread settles that half's round first.
+                overlap=any(die in pending for die in halves[1 - h]),
             )
+
+        def settle(active, outs) -> None:
             position = 0
             decoded = {}
             # Frequency probes expose a fused decode: instead of one
@@ -770,4 +805,29 @@ class Calibrator:
             for die in active:
                 del pending[die]
                 advance(die, decoded[die])
+
+        in_flight: list = [None, None]
+        try:
+            for die in range(len(machines)):
+                advance(die, None)
+            for h in (0, 1):
+                in_flight[h] = start(h)
+            # Ping-pong: while the kernel integrates one half's round,
+            # this thread settles the other half's finished round and
+            # starts its next one.
+            while any(in_flight):
+                for h in (0, 1):
+                    if in_flight[h] is None:
+                        continue
+                    active, run = in_flight[h]
+                    in_flight[h] = None
+                    settle(active, run.result())
+                    in_flight[h] = start(h)
+        finally:
+            # A die failing (or on_result raising) while one half
+            # settles leaves the other half's run in flight: finish it,
+            # so no kernel helper outlives this call.
+            for started in in_flight:
+                if started is not None:
+                    started[1].result()
         return results  # type: ignore[return-value]

@@ -211,9 +211,12 @@ def provision_fleet(
     campaign-wide" stays countable, and a die that fails mid-lot does
     not discard the dies already calibrated (a retry resumes from the
     warm store).  Already-stored triples are skipped.  The lockstep
-    batches run on the engine's threaded key axis, whose worker
-    threads never outlive a call — forking campaign workers afterwards
-    is safe.
+    batches run on the engine's threaded key axis, with two half-lots
+    in flight where a kernel helper can run beside the driver; every
+    kernel batch the pass starts is finished before
+    ``calibrate_fleet`` returns, on failure too, so no worker thread
+    outlives this call — forking campaign workers afterwards is
+    safe.
 
     Returns the number of triples actually computed.
     """

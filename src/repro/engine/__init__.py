@@ -43,19 +43,36 @@ Threading
 
 The kernel's key loop is its second parallel axis: the build tries
 pthreads first (falling back to the identical sequential build on
-toolchains without them), and each batch call then spawns a worker
-team that pulls keys off an atomic counter and joins before the call
-returns.  Keys share no mutable state and per-key arithmetic is
-untouched, so the thread count cannot change any result —
-1-vs-N-thread runs are bit-identical (guarded in
-``tests/test_engine.py``).  Per-call teams are what keeps ``fork()``
-safe (the campaign worker pools fork): no threading runtime outlives a
-call — the reason this is pthreads, not OpenMP.
-``REPRO_ENGINE_THREADS`` pins the count (unset = one thread per core,
-resolved per kernel call, clamped to the kernel's 64-helper team
-bound); ``REPRO_ENGINE_DISABLE_KERNEL`` reports the kernel
-unavailable, forcing the reference fallback — the CI leg that keeps
-the no-compiler path green.
+toolchains without them), and each batch has a worker team that pulls
+keys off an atomic counter.  Keys share no mutable state and per-key
+arithmetic is untouched, so the thread count cannot change any result
+— 1-vs-N-thread runs are bit-identical (guarded in
+``tests/test_engine.py``).  A batch is a start/finish pair:
+:meth:`SimulationEngine.start_multi` builds the plans, starts each
+time-grid group's helpers and returns an
+:class:`~repro.engine.engine.EngineRun` at once; its ``result()``
+makes the caller one more worker on the same counter, joins the
+helpers and returns the results.  Its ``overlap`` flag sizes the team
+only: a caller that works elsewhere before ``result()`` gets up to one
+helper per lane pack (a one-pack group gets one too), while
+``run_multi`` — ``start_multi(..., overlap=False).result()`` — keeps
+the caller's share, as a blocking call.  Two submissions may be in
+flight at once — the fleet calibrator integrates one half-lot while it
+decodes and plans the other, wherever
+:meth:`SimulationEngine.can_overlap` says a helper can run beside it —
+and each result is still a pure function of its request.  Per-batch
+teams are what keeps ``fork()`` safe (the campaign
+worker pools fork): no threading runtime outlives a start/finish pair,
+and every pair is closed before its driver returns — the reason this
+is pthreads, not OpenMP.  ``REPRO_ENGINE_THREADS`` pins the count
+(unset = one thread per core, resolved per kernel batch, clamped to
+the kernel's 64-helper team bound; ``1`` starts no helper, so a
+started batch runs entirely at ``result()``, and the fleet calibrator
+then keeps its lot in one submission per round);
+``REPRO_ENGINE_DISABLE_KERNEL`` reports the kernel unavailable,
+forcing the reference fallback — the CI leg that keeps the
+no-compiler path green.  The reference backend and that fallback
+integrate inside ``start_multi``.
 
 Within each thread the kernel has a third, SIMD axis: 2/4-wide vector
 lanes advance that many uniform-mode keys per time step through a

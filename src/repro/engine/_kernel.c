@@ -29,17 +29,28 @@
  * rows (shared rows are read-only) and writes only its own output
  * rows — so the key loop is also the kernel's second axis of
  * parallelism: when the library is built with pthreads, keys are
- * distributed over a per-call worker team pulling
+ * distributed over a per-batch worker team pulling
  * from an atomic counter (dynamic scheduling).  Thread count cannot
  * change any result (per-key arithmetic is untouched and there is no
  * shared mutable state), so 1-vs-N-thread runs are bit-identical;
  * without pthreads the same loop simply runs sequentially.
  *
- * Raw pthreads, not OpenMP, deliberately: the workers are created and
- * joined inside each call, so no threading runtime state ever
- * outlives it — processes that fork() after using the kernel (the
- * campaign layer's worker pools do) stay safe, where a forked child
- * of an OpenMP parent deadlocks in the orphaned runtime.
+ * A batch runs in two calls.  repro_simulate_batch_start plans the
+ * lane packs, spawns the team's helpers and returns a handle; the
+ * caller is then free (the fleet calibrator decodes and plans its
+ * other half-lot meanwhile).  repro_simulate_batch_finish makes the
+ * caller one more worker on the same atomic counter — it takes the
+ * packs still unclaimed — then joins the helpers and frees the handle.
+ * Which thread runs a pack cannot change its arithmetic, so the split
+ * cannot change a result either.  A team of one spawns nothing, so the
+ * batch then runs entirely at finish.
+ *
+ * Raw pthreads, not OpenMP, deliberately: the workers are created at
+ * start and joined at finish, so no threading runtime state outlives
+ * a start/finish pair — processes that fork() after using the kernel
+ * (the campaign layer's worker pools do) stay safe as long as no pair
+ * is open across the fork, where a forked child of an OpenMP parent
+ * deadlocks in the orphaned runtime.
  *
  * SIMD time recursion (third axis, per thread)
  * --------------------------------------------
@@ -84,7 +95,7 @@
 #include <unistd.h>
 #endif
 
-/* Hard cap on the per-call worker team: 64 helper threads plus the
+/* Hard cap on the per-batch worker team: 64 helper threads plus the
  * calling thread.  n_threads is clamped to this up front (and then to
  * the number of work items), so requesting more is safe and merely
  * redundant — documented in native.py, covered by a many-threads test. */
@@ -467,46 +478,23 @@ static void *batch_worker(void *arg)
         run_pack(t, i);
     }
 }
-#endif
 
-/* Run a prepared task, threading over packs when the build and the
- * clamped thread count allow it. */
-static void run_batch_task(struct batch_task *task, int n_threads)
+/* The worker team for n_items work items: n_threads (<= 0: one per
+ * online core), clamped once, up front, to the fixed-size helper array
+ * (64 helpers + the calling thread) and to the item count. */
+static int team_size(int n_threads, int n_items)
 {
-#ifdef REPRO_USE_PTHREADS
     if (n_threads <= 0) {
         long online = sysconf(_SC_NPROCESSORS_ONLN);
         n_threads = online > 0 ? (int)online : 1;
     }
-    /* Clamp once, up front: the helper array is fixed-size, so the
-     * team can never exceed 64 helpers + the calling thread. */
     if (n_threads > REPRO_MAX_THREADS)
         n_threads = REPRO_MAX_THREADS;
-    if (n_threads > task->n_packs)
-        n_threads = task->n_packs;
-    if (n_threads > 1) {
-        /* Spawn helpers, work in this thread too, join before
-         * returning — no thread outlives the call. */
-        pthread_t helpers[REPRO_MAX_THREADS - 1];
-        int n_helpers = n_threads - 1;
-        int spawned = 0;
-        atomic_init(&task->next_pack, 0);
-        for (int i = 0; i < n_helpers; i++) {
-            if (pthread_create(&helpers[spawned], 0, batch_worker, task))
-                break;  /* fewer workers, same results */
-            spawned++;
-        }
-        batch_worker(task);
-        for (int i = 0; i < spawned; i++)
-            pthread_join(helpers[i], 0);
-        return;
-    }
-#else
-    (void)n_threads;
-#endif
-    for (int i = 0; i < task->n_packs; i++)
-        run_pack(task, i);
+    if (n_threads > n_items)
+        n_threads = n_items;
+    return n_threads < 1 ? 1 : n_threads;
 }
+#endif
 
 /* Whether keys a and b may share a lane pack: every parameter that
  * picks a control-flow branch must agree (per-lane data parameters may
@@ -521,14 +509,83 @@ static int same_mode(const double *params, int a, int b)
         && (int)pa[P_DELAY_WHOLE] == (int)pb[P_DELAY_WHOLE];
 }
 
-void repro_simulate_batch(
+/* Group consecutive same-mode keys into lane packs; on success the
+ * task points at *packs (start and length arrays), which the caller
+ * frees.  Without lanes, or when the allocation fails, the task keeps
+ * one implicit pack per key — same results, scalar walk. */
+static void plan_packs(struct batch_task *task, int simd_lanes, int **packs)
+{
+    const int n_keys = task->n_keys;
+    *packs = 0;
+    if (simd_lanes < 0)
+        simd_lanes = repro_kernel_simd_width();
+#ifndef REPRO_HAVE_SIMD
+    simd_lanes = 0;
+#endif
+    if (simd_lanes < 2 || n_keys < 2)
+        return;
+    *packs = malloc(sizeof(int) * 2 * (size_t)n_keys);
+    if (*packs == 0)
+        return;
+    int *start = *packs, *len = *packs + n_keys;
+    int n_packs = 0, k = 0;
+    while (k < n_keys) {
+        int run = 1;
+        while (run < simd_lanes && k + run < n_keys
+               && same_mode(task->params, k, k + run))
+            run++;
+        /* Full-width packs only (with a 2-wide tail under 4-wide
+         * lanes); stragglers take the scalar walk. */
+        if (run == 4 || run == 2) {
+            ;
+        } else if (run == 3) {
+            run = 2;
+        } else {
+            run = 1;
+        }
+        start[n_packs] = k;
+        len[n_packs] = run;
+        n_packs++;
+        k += run;
+    }
+    task->pack_start = start;
+    task->pack_len = len;
+    task->n_packs = n_packs;
+    task->simd = simd_lanes;
+}
+
+/* A started batch: the task, its lane packs and the helpers working on
+ * it.  The caller's tables stay alive until the matching finish. */
+struct batch_run {
+    struct batch_task task;
+    int *packs;
+#ifdef REPRO_USE_PTHREADS
+    pthread_t helpers[REPRO_MAX_THREADS - 1];
+    int spawned;
+#endif
+};
+
+/* Start a batch: plan the lane packs and spawn the team's helpers,
+ * then return without waiting.  The helpers pull packs off the task's
+ * atomic counter; the caller pulls whatever is left at
+ * repro_simulate_batch_finish, which joins them.  When the caller goes
+ * straight to finish (overlap == 0) it is one of the team: n_threads
+ * workers, at most one per pack.  When it does other work first
+ * (overlap != 0) it arrives late, so the team gets up to one helper
+ * per pack — a one-pack batch gets its helper too — and n_threads - 1
+ * at most.  A team of one (REPRO_ENGINE_THREADS=1, a 1-CPU host, the
+ * sequential build) spawns nothing, so the whole batch runs at finish.
+ * Returns NULL only when the handle cannot be allocated; the batch has
+ * then run to completion inside this call, and finish(NULL) is a
+ * no-op. */
+void *repro_simulate_batch_start(
     int n_keys, int n_samples, int substeps,
     const double *const *shape, const double *const *i_noise,
     const double *const *comp_noise,
     const double *const *comp_noise_out, const double *const *dither,
     const double *params,
     double *const *output, double *const *bits, double *const *tank_v,
-    int n_threads, int simd_lanes)
+    int n_threads, int simd_lanes, int overlap)
 {
     struct batch_task task = {
         n_keys, n_samples, substeps,
@@ -536,44 +593,53 @@ void repro_simulate_batch(
         output, bits, tank_v,
         0, 0, n_keys, 0,
     };
-    if (simd_lanes < 0)
-        simd_lanes = repro_kernel_simd_width();
-#ifndef REPRO_HAVE_SIMD
-    simd_lanes = 0;
-#endif
-    int *packs = 0;
-    if (simd_lanes >= 2 && n_keys >= 2) {
-        packs = malloc(sizeof(int) * 2 * (size_t)n_keys);
-        if (packs != 0) {
-            int *start = packs, *len = packs + n_keys;
-            int n_packs = 0, k = 0;
-            while (k < n_keys) {
-                int run = 1;
-                while (run < simd_lanes && k + run < n_keys
-                       && same_mode(params, k, k + run))
-                    run++;
-                /* Full-width packs only (with a 2-wide tail under
-                 * 4-wide lanes); stragglers take the scalar walk. */
-                if (run == 4 || run == 2) {
-                    ;
-                } else if (run == 3) {
-                    run = 2;
-                } else {
-                    run = 1;
-                }
-                start[n_packs] = k;
-                len[n_packs] = run;
-                n_packs++;
-                k += run;
-            }
-            task.pack_start = start;
-            task.pack_len = len;
-            task.n_packs = n_packs;
-            task.simd = simd_lanes;
-        }
+    struct batch_run *run = malloc(sizeof *run);
+    if (run == 0) {
+        int *packs;
+        plan_packs(&task, simd_lanes, &packs);
+        for (int i = 0; i < task.n_packs; i++)
+            run_pack(&task, i);
+        free(packs);
+        return 0;
     }
-    run_batch_task(&task, n_threads);
-    free(packs);
+    run->task = task;
+    plan_packs(&run->task, simd_lanes, &run->packs);
+#ifdef REPRO_USE_PTHREADS
+    atomic_init(&run->task.next_pack, 0);
+    int n_helpers = team_size(n_threads, run->task.n_packs + !!overlap) - 1;
+    run->spawned = 0;
+    for (int i = 0; i < n_helpers; i++) {
+        if (pthread_create(&run->helpers[run->spawned], 0, batch_worker,
+                           &run->task))
+            break;  /* fewer workers, same results */
+        run->spawned++;
+    }
+#else
+    (void)n_threads;
+    (void)overlap;
+#endif
+    return run;
+}
+
+/* Finish a started batch: the calling thread works through the packs
+ * no helper has claimed, joins the helpers and frees the handle.  On
+ * return every output row is written and no thread of this batch is
+ * left. */
+void repro_simulate_batch_finish(void *handle)
+{
+    struct batch_run *run = handle;
+    if (run == 0)
+        return;
+#ifdef REPRO_USE_PTHREADS
+    batch_worker(&run->task);
+    for (int i = 0; i < run->spawned; i++)
+        pthread_join(run->helpers[i], 0);
+#else
+    for (int i = 0; i < run->task.n_packs; i++)
+        run_pack(&run->task, i);
+#endif
+    free(run->packs);
+    free(run);
 }
 
 /* ---------------------------------------------------------------------
@@ -680,14 +746,7 @@ int repro_fir_batch(
     task.out = out;
     const size_t pad_len = (size_t)task.out_n + task.pad_start + n_taps - 1;
 #ifdef REPRO_USE_PTHREADS
-    if (n_threads <= 0) {
-        long online = sysconf(_SC_NPROCESSORS_ONLN);
-        n_threads = online > 0 ? (int)online : 1;
-    }
-    if (n_threads > REPRO_MAX_THREADS)
-        n_threads = REPRO_MAX_THREADS;
-    if (n_threads > n_rows)
-        n_threads = n_rows;
+    n_threads = team_size(n_threads, n_rows);
     if (n_threads > 1) {
         pthread_t helpers[REPRO_MAX_THREADS - 1];
         int n_helpers = n_threads - 1;

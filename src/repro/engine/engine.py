@@ -23,7 +23,7 @@ from repro.engine.plan import build_plan
 from repro.engine.store import CalibrationStore
 from repro.engine.reference import simulate_plan
 from repro.engine.request import ModulatorRequest, ReceiverRequest
-from repro.engine.vectorized import simulate_plans
+from repro.engine.vectorized import start_plans
 from repro.receiver.chain import DigitalChain, ReceiverResult
 from repro.receiver.config import DigitalConfig
 from repro.receiver.sdm import ModulatorResult
@@ -45,6 +45,37 @@ class EngineStats:
     n_vectorized_runs: int = 0
     integrate_seconds: float = 0.0
     dsp_seconds: float = 0.0
+
+
+class EngineRun:
+    """A submission started by :meth:`SimulationEngine.start_multi`.
+
+    :meth:`result` finishes every time-grid group — the caller works
+    through the packs the kernel's helpers have not claimed, then joins
+    them — and returns the results in item order.  The caller's time in
+    it counts as the engine's integration time.
+    """
+
+    def __init__(self, engine: "SimulationEngine", n_items: int, started):
+        self._engine = engine
+        self._n_items = n_items
+        self._started = started
+        self._results: list[ModulatorResult] | None = None
+
+    def result(self) -> list[ModulatorResult]:
+        """Finish the submission and return its results.  Later calls
+        return the same results without touching the kernel or the
+        engine's statistics."""
+        if self._results is None:
+            results: list[ModulatorResult | None] = [None] * self._n_items
+            start = time.perf_counter()
+            for indices, finish in self._started:
+                for i, out in zip(indices, finish()):
+                    results[i] = out
+            self._engine.stats.integrate_seconds += time.perf_counter() - start
+            self._results = results  # type: ignore[assignment]
+            self._started = ()
+        return self._results
 
 
 @dataclass
@@ -117,40 +148,75 @@ class SimulationEngine:
         round after round), a caller-held ``noise_cache`` dict carries
         the drawn records across calls (deterministic values; see the
         contract in :func:`~repro.engine.plan.build_plan`).  Results
-        come back in item order.
+        come back in item order.  The blocking form of
+        :meth:`start_multi`.
+        """
+        return self.start_multi(
+            items, noise_cache=noise_cache, overlap=False
+        ).result()
+
+    def start_multi(
+        self,
+        items: Sequence[tuple["Chip", ModulatorRequest]],
+        noise_cache: dict | None = None,
+        overlap: bool = True,
+    ) -> EngineRun:
+        """Start a :meth:`run_multi` submission and return at once.
+
+        Builds every plan and starts each time-grid group on the
+        kernel, whose helpers integrate while the caller goes on; the
+        returned handle's :meth:`EngineRun.result` finishes the groups
+        and returns what :meth:`run_multi` would.  ``overlap`` says
+        whether the caller does other work before ``result()``: then
+        each group's team gets up to one helper per lane pack, so even
+        a one-pack group integrates meanwhile; with ``False`` the
+        caller is one of the team, as in :meth:`run_multi`.  It sizes
+        the team only; no result depends on it.  The reference backend
+        and the no-compiler fallback integrate here, before returning.
+        Two submissions may be in flight at once — the fleet calibrator
+        integrates one half-lot while it decodes and plans the other —
+        and each result is still a pure function of its request.  A
+        handle dropped unfinished finishes its groups before their
+        arrays are freed.
         """
         items = list(items)
-        results: list[ModulatorResult | None] = [None] * len(items)
         groups: dict[tuple[int, int], list[int]] = {}
         for i, (_, request) in enumerate(items):
             groups.setdefault(request.batch_key, []).append(i)
         stim_cache: dict = {}
         if noise_cache is None:
             noise_cache = {}
-        for indices in groups.values():
-            plans = [
-                build_plan(
-                    items[i][0].blocks,
-                    items[i][1],
-                    disc_cache=items[i][0].discretisation_cache,
-                    stim_cache=stim_cache,
-                    noise_cache=noise_cache,
-                )
-                for i in indices
-            ]
-            start = time.perf_counter()
-            if self._use_vectorized():
-                outs = simulate_plans(plans)
-                self.stats.n_vectorized_runs += len(plans)
-            else:
-                outs = [simulate_plan(plan) for plan in plans]
-                self.stats.n_reference_runs += len(plans)
-            self.stats.integrate_seconds += time.perf_counter() - start
-            for i, out in zip(indices, outs):
-                results[i] = out
-            self.stats.n_batches += 1
+        started = []
+        try:
+            for indices in groups.values():
+                plans = [
+                    build_plan(
+                        items[i][0].blocks,
+                        items[i][1],
+                        disc_cache=items[i][0].discretisation_cache,
+                        stim_cache=stim_cache,
+                        noise_cache=noise_cache,
+                    )
+                    for i in indices
+                ]
+                start = time.perf_counter()
+                if self._use_vectorized():
+                    finish = start_plans(plans, overlap)
+                    self.stats.n_vectorized_runs += len(plans)
+                else:
+                    # Integrated now; finishing only hands them over.
+                    finish = [simulate_plan(plan) for plan in plans].copy
+                    self.stats.n_reference_runs += len(plans)
+                self.stats.integrate_seconds += time.perf_counter() - start
+                started.append((indices, finish))
+                self.stats.n_batches += 1
+        except BaseException:
+            # No group started here outlives a failed submission.
+            for _, finish in started:
+                finish()
+            raise
         self.stats.n_requests += len(items)
-        return results  # type: ignore[return-value]
+        return EngineRun(self, len(items), started)
 
     def run_one(self, chip: "Chip", request: ModulatorRequest) -> ModulatorResult:
         """Single-request convenience wrapper over :meth:`run`."""
@@ -162,6 +228,18 @@ class SimulationEngine:
         if self.backend == "reference":
             return False
         return native.kernel_available()
+
+    def can_overlap(self) -> bool:
+        """Whether a :meth:`start_multi` submission can integrate
+        beside its caller: the compiled kernel runs this engine's
+        batches, it is built threaded, and its team has room for a
+        helper (``REPRO_ENGINE_THREADS`` above 1, or unset on a
+        multi-core host).  Otherwise a started submission integrates
+        at start or at ``result()`` on the caller alone, so splitting
+        work into overlapping submissions gains nothing."""
+        if not (self._use_vectorized() and native.kernel_threaded()):
+            return False
+        return (native.kernel_threads() or os.cpu_count() or 1) > 1
 
     # -- full-chain oracle -------------------------------------------------
 

@@ -23,17 +23,19 @@ batches, and pins the outputs' bytes on both backends.
 Kernel ABI
 ----------
 
-``repro_simulate_batch`` takes, per key, a row of the ``(keys,
-len(PARAM_FIELDS))`` parameter matrix and one pointer in each of the
-record tables: the Gmin shape, the tank current noise (one sample per
-substep each), the two comparator noise records and the dither (one
-per sample).  Plans share records (see :mod:`repro.engine.plan`), so
-the tables repeat addresses: they are address arrays built by
-:func:`_pointer_table`, which checks each distinct array's dtype,
-length and layout and looks its address up once.  The parameter row
-carries the per-key Gmin scale ``gm_vlin``, and the kernel forms the
-input current ``gm_vlin * shape[m] + i_noise[m]`` as it reads the
-records.  The three output tables point at fresh per-key arrays.
+``repro_simulate_batch_start`` (which returns the handle
+``repro_simulate_batch_finish`` takes) takes, per key, a row of the
+``(keys, len(PARAM_FIELDS))`` parameter matrix and one pointer in each
+of the record tables: the Gmin shape, the tank current noise (one
+sample per substep each), the two comparator noise records and the
+dither (one per sample).  Plans share records (see
+:mod:`repro.engine.plan`), so the tables repeat addresses: they are
+address arrays built by :func:`_pointer_table`, which checks each
+distinct array's dtype, length and layout and looks its address up
+once.  The parameter row carries the per-key Gmin scale ``gm_vlin``,
+and the kernel forms the input current ``gm_vlin * shape[m] +
+i_noise[m]`` as it reads the records.  The three output tables point
+at fresh per-key arrays.
 ``PARAM_FIELDS`` must match the kernel's parameter ``enum``; the
 loader refuses a library whose parameter count differs (a stale
 build).
@@ -43,16 +45,45 @@ Threading model
 
 Keys are independent, so the kernel's key loop is its second axis of
 parallelism: the build first tries pthreads (``-pthread
--DREPRO_USE_PTHREADS``) and, when that works, each batch call spawns a
-worker team that pulls keys off an atomic counter and joins before the
-call returns.  Per-key arithmetic is untouched and no state is shared,
-so the thread count cannot change any result — 1-vs-N-thread runs are
-bit-identical (guarded in ``tests/test_engine.py``).  Per-call teams
-are also what keeps ``fork()`` safe (campaign worker pools fork): no
-threading runtime state outlives a call, where a forked child of an
-OpenMP parent would deadlock in the orphaned runtime — which is why
-this is pthreads and not OpenMP.  The count is resolved per call from
-``REPRO_ENGINE_THREADS`` (unset means one thread per online core,
+-DREPRO_USE_PTHREADS``) and, when that works, each batch has a worker
+team that pulls lane packs off an atomic counter.  Per-key arithmetic
+is untouched and no state is shared, so the thread count cannot change
+any result — 1-vs-N-thread runs are bit-identical (guarded in
+``tests/test_engine.py``).
+
+A batch runs as a *start/finish pair*; it is the only entry point.
+``repro_simulate_batch_start`` (:class:`NativeRun`) plans the packs,
+spawns the team's helpers and returns a handle at once, so the calling
+thread can do other work — the fleet calibrator decodes and plans one
+half-lot while the kernel integrates the other.  Its ``overlap`` flag
+says whether it will: a caller that goes straight to finish is one of
+``threads`` workers, at most one per pack, as a blocking call would
+be; one that works elsewhere first arrives late, so the team gets up
+to one helper per pack (a one-pack batch gets one too), at most
+``threads - 1``.
+``repro_simulate_batch_finish`` (:meth:`NativeRun.finish`) makes the
+caller one more worker on the same counter: it takes whatever packs no
+helper has claimed, then joins the helpers.  Which thread runs a pack
+cannot change its arithmetic, so the split cannot change a result
+either.  A team of one — ``REPRO_ENGINE_THREADS=1`` or a 1-CPU host —
+spawns no helper, and the whole batch runs at finish: the sequential
+behaviour.  A handle holds every record, table and output its helpers
+touch until finish, and one dropped unfinished finishes itself in a
+finalizer that owns those arrays.  Two half-lots in flight each get
+their own team, so a host of ``T`` cores briefly runs up to
+``2 (T - 1)`` helpers beside the caller; the work is the same and the
+pack counter balances it.
+
+Per-batch teams are also what keeps ``fork()`` safe (campaign worker
+pools fork): no threading runtime state outlives a start/finish pair,
+where a forked child of an OpenMP parent would deadlock in the orphaned
+runtime — which is why this is pthreads and not OpenMP.  Fork safety
+holds per pair: a fork between a start and its finish would copy a
+handle whose helpers the child does not have.  No caller forks inside
+a pair: ``run_multi`` closes its pairs before returning, and
+``Calibrator.calibrate_fleet`` closes every pair it opened — on
+failure too — before it returns.  The count is resolved per batch
+from ``REPRO_ENGINE_THREADS`` (unset means one thread per online core,
 ``1`` forces the sequential walk); toolchains without pthreads compile
 the plain sequential kernel with the identical ABI.  The kernel's
 worker team is bounded at 64 helper threads plus the calling thread
@@ -92,6 +123,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
@@ -184,14 +216,16 @@ def _build_one(flags: tuple[str, ...]) -> ctypes.CDLL | None:
         return None
     if lib.repro_kernel_n_params() != len(PARAM_FIELDS):
         return None  # stale ABI; refuse rather than corrupt results
-    lib.repro_simulate_batch.argtypes = [
+    lib.repro_simulate_batch_start.argtypes = [
         ctypes.c_int, ctypes.c_int, ctypes.c_int,
         _TABLE, _TABLE, _TABLE, _TABLE, _TABLE,
         _DOUBLE_P,
         _TABLE, _TABLE, _TABLE,
-        ctypes.c_int, ctypes.c_int,
+        ctypes.c_int, ctypes.c_int, ctypes.c_int,
     ]
-    lib.repro_simulate_batch.restype = None
+    lib.repro_simulate_batch_start.restype = ctypes.c_void_p
+    lib.repro_simulate_batch_finish.argtypes = [ctypes.c_void_p]
+    lib.repro_simulate_batch_finish.restype = None
     lib.repro_fir_batch.argtypes = [
         ctypes.c_int, ctypes.c_int, _TABLE,
         ctypes.c_int, _DOUBLE_P,
@@ -454,7 +488,7 @@ def _pointer_table(arrays: Sequence[np.ndarray], length: int) -> array.array:
     Plans share records, so each distinct array is checked and its
     address looked up once.  Each must be a C-contiguous float64 record
     of ``length`` samples.  The caller holds the arrays and the table
-    until the kernel call returns.
+    until the kernel is done with them: the batch is finished.
     """
     address: dict[int, int] = {}
     for a in arrays:
@@ -473,45 +507,76 @@ def _pointer_table(arrays: Sequence[np.ndarray], length: int) -> array.array:
     return array.array(_ADDRESS, [address[id(a)] for a in arrays])
 
 
-def simulate_plans_native(plans: Sequence[KeyPlan]) -> list[ModulatorResult]:
-    """Integrate a batch of key plans through the compiled kernel."""
-    if not kernel_available():
-        raise RuntimeError("compiled kernel unavailable on this machine")
-    n_keys = len(plans)
-    n_samples = plans[0].n_samples
-    substeps = plans[0].substeps
-    params = np.array([_plan_params(p) for p in plans], dtype=np.float64)
-    # Per-key outputs: one block per batch would keep every key's block
-    # alive for as long as any one of its results is held.
-    output = [np.empty(n_samples) for _ in plans]
-    bits = [np.empty(n_samples) for _ in plans]
-    tank_v = [np.empty(n_samples) for _ in plans]
-    n_sub = n_samples * substeps
-    inputs = [
-        _pointer_table([p.gmin_shape for p in plans], n_sub),
-        _pointer_table([p.i_noise for p in plans], n_sub),
-        _pointer_table([p.comp_noise for p in plans], n_samples),
-        _pointer_table([p.comp_noise_out for p in plans], n_samples),
-        _pointer_table([p.dither for p in plans], n_samples),
-    ]
-    outputs = [_pointer_table(out, n_samples) for out in (output, bits, tank_v)]
-    _lib.repro_simulate_batch(
-        n_keys, n_samples, substeps,
-        *[table.buffer_info()[0] for table in inputs],
-        params.ctypes.data_as(_DOUBLE_P),
-        *[table.buffer_info()[0] for table in outputs],
-        kernel_threads(), kernel_simd_lanes(),
-    )
-    return [
-        ModulatorResult(
-            output=output[k],
-            bits=bits[k],
-            tank_voltage=tank_v[k],
-            fs=plans[k].fs,
-            is_bitstream=plans[k].clocked,
+def _finish_batch(handle: int | None, held: tuple) -> None:
+    """Finish a started kernel batch.  ``held`` (every array and table
+    the batch reads or writes) rides along only so that it stays alive
+    until the kernel's helpers are joined."""
+    _lib.repro_simulate_batch_finish(handle)
+
+
+class NativeRun:
+    """A kernel batch in flight: start integrating ``plans`` through the
+    compiled kernel and return at once.
+
+    The kernel's helpers work on the batch while the caller goes on;
+    :meth:`finish` completes it.  ``overlap`` says whether the caller
+    does other work before :meth:`finish`: then the team gets up to one
+    helper per lane pack (a one-pack batch gets one too); otherwise the
+    caller is one of ``threads`` workers, as in a blocking call.  A
+    team of one (``REPRO_ENGINE_THREADS=1`` or a 1-CPU host) spawns no
+    helper, so the batch then runs entirely at finish.  The helpers may
+    read the batch's records, parameters and tables, and write its
+    outputs, until they are joined; the finalizer that finishes the
+    batch holds all of those arrays, so a run dropped unfinished (an
+    exception between start and finish) finishes itself, joining its
+    helpers, before any of them can be freed.
+    """
+
+    def __init__(self, plans: Sequence[KeyPlan], overlap: bool):
+        if not kernel_available():
+            raise RuntimeError("compiled kernel unavailable on this machine")
+        n_samples = plans[0].n_samples
+        substeps = plans[0].substeps
+        params = np.array([_plan_params(p) for p in plans], dtype=np.float64)
+        # Per-key outputs: one block per batch would keep every key's
+        # block alive for as long as any one of its results is held.
+        outs = tuple([np.empty(n_samples) for _ in plans] for _ in range(3))
+        n_sub = n_samples * substeps
+        tables = (
+            _pointer_table([p.gmin_shape for p in plans], n_sub),
+            _pointer_table([p.i_noise for p in plans], n_sub),
+            _pointer_table([p.comp_noise for p in plans], n_samples),
+            _pointer_table([p.comp_noise_out for p in plans], n_samples),
+            _pointer_table([p.dither for p in plans], n_samples),
+            *[_pointer_table(out, n_samples) for out in outs],
         )
-        for k in range(n_keys)
-    ]
+        addresses = [table.buffer_info()[0] for table in tables]
+        handle = _lib.repro_simulate_batch_start(
+            len(plans), n_samples, substeps,
+            *addresses[:5], params.ctypes.data_as(_DOUBLE_P), *addresses[5:],
+            kernel_threads(), kernel_simd_lanes(), int(overlap),
+        )
+        self._plans = plans
+        self._outs = outs
+        self._finish = weakref.finalize(
+            self, _finish_batch, handle, (plans, params, tables, outs)
+        )
+
+    def finish(self) -> list[ModulatorResult]:
+        """Work through the packs no helper has claimed, join the
+        helpers and return the results.  Later calls only return the
+        results again."""
+        self._finish()
+        return [
+            ModulatorResult(
+                output=output,
+                bits=bits,
+                tank_voltage=tank_v,
+                fs=plan.fs,
+                is_bitstream=plan.clocked,
+            )
+            for plan, output, bits, tank_v in zip(self._plans, *self._outs)
+        ]
 
 
 def fir_batch_native(x: np.ndarray, taps: np.ndarray) -> np.ndarray:

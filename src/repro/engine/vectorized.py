@@ -31,7 +31,7 @@ which keeps results identical everywhere — only throughput differs.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.engine import native
 from repro.engine.plan import KeyPlan
@@ -39,16 +39,20 @@ from repro.engine.reference import simulate_plan
 from repro.receiver.sdm import ModulatorResult
 
 
-def simulate_plans(plans: Sequence[KeyPlan]) -> list[ModulatorResult]:
-    """Integrate a batch of key plans simultaneously.
+def start_plans(
+    plans: Sequence[KeyPlan], overlap: bool
+) -> Callable[[], list[ModulatorResult]]:
+    """Start integrating a batch of key plans simultaneously.
 
     All plans must share ``n_samples`` and ``substeps`` (the engine
     groups requests by that time grid); everything else — configuration,
-    stimulus, clock, seed, initial state — may vary per key.
+    stimulus, clock, seed, initial state — may vary per key.  Returns a
+    callable that finishes the batch and returns its results: the
+    kernel's helpers integrate while the caller goes on until then
+    (:class:`~repro.engine.native.NativeRun`, which ``overlap`` sizes:
+    whether the caller does other work before finishing).
     """
     plans = list(plans)
-    if not plans:
-        return []
     n_samples = plans[0].n_samples
     substeps = plans[0].substeps
     for plan in plans:
@@ -59,6 +63,7 @@ def simulate_plans(plans: Sequence[KeyPlan]) -> list[ModulatorResult]:
                 f"({n_samples}, {substeps})"
             )
     if native.kernel_available():
-        return native.simulate_plans_native(plans)
-    # No compiler on this machine: identical results, scalar speed.
-    return [simulate_plan(plan) for plan in plans]
+        return native.NativeRun(plans, overlap).finish
+    # No compiler on this machine: identical results, scalar speed,
+    # integrated here; finishing only hands them over.
+    return [simulate_plan(plan) for plan in plans].copy

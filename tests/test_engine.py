@@ -4,8 +4,10 @@ its concurrency semantics included), request validation and the runner
 registry."""
 
 import dataclasses
+import gc
 import hashlib
 import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -454,6 +456,100 @@ class TestKernelThreading:
             assert np.array_equal(a.tank_voltage, b.tank_voltage)
 
 
+#: Kernel settings the started-run contract must hold under: every
+#: thread count x forced-scalar and auto lanes, plus the kernel off.
+_RUN_ENVS = [
+    {"REPRO_ENGINE_THREADS": threads, "REPRO_ENGINE_SIMD": simd}
+    for threads in ("1", "2", "4")
+    for simd in ("0", "auto")
+] + [{"REPRO_ENGINE_DISABLE_KERNEL": "1"}]
+
+
+def _task_count() -> int:
+    return len(os.listdir("/proc/self/task"))
+
+
+class TestStartedRuns:
+    """``start_multi`` handles: runs in flight side by side, finishing
+    once, and finishing themselves when dropped."""
+
+    @pytest.mark.parametrize(
+        "env", _RUN_ENVS,
+        ids=["-".join(f"{k[13:]}={v}" for k, v in e.items()) for e in _RUN_ENVS],
+    )
+    def test_two_runs_in_flight_match_run_multi(
+        self, chip, rng, monkeypatch, env
+    ):
+        """Start A, start B, finish B, finish A: each result equals
+        run_multi's of the same items, bit for bit."""
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        engine = SimulationEngine(backend="vectorized")
+        first = [(chip, r) for r in _uniform_mode_requests(rng, 9)]
+        second = [(chip, r) for r in _mixed_mode_requests(rng)]
+        run_a = engine.start_multi(first)
+        run_b = engine.start_multi(second)
+        got_b = run_b.result()
+        got_a = run_a.result()
+        for got, items in ((got_a, first), (got_b, second)):
+            for i, (a, b) in enumerate(zip(engine.run_multi(items), got)):
+                assert np.array_equal(a.output, b.output), i
+                assert np.array_equal(a.bits, b.bits), i
+                assert np.array_equal(a.tank_voltage, b.tank_voltage), i
+
+    @pytest.mark.skipif(
+        not kernel_available(), reason="no C compiler: nothing to finish"
+    )
+    def test_result_twice_finishes_once(self, chip, rng, monkeypatch):
+        from repro.engine import native
+
+        finishes = []
+        real_finish = native._finish_batch
+        monkeypatch.setattr(
+            native, "_finish_batch",
+            lambda *args: (finishes.append(1), real_finish(*args)),
+        )
+        engine = SimulationEngine(backend="vectorized")
+        run = engine.start_multi([(chip, r) for r in _mixed_mode_requests(rng)])
+        first = run.result()
+        stats = dataclasses.replace(engine.stats)
+        again = run.result()
+        assert len(finishes) == 1  # one time grid, one kernel batch
+        assert again is first
+        assert engine.stats == stats
+
+    @pytest.mark.skipif(
+        not kernel_available(), reason="no C compiler: no kernel helpers"
+    )
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="no /proc task list"
+    )
+    def test_dropped_run_finishes_itself(self, chip, rng, monkeypatch):
+        """A handle deleted unfinished finishes its batch in a finalizer
+        (which holds the batch's arrays), and no helper thread is left."""
+        from repro.engine import native
+
+        finishes = []
+        real_finish = native._finish_batch
+        monkeypatch.setattr(
+            native, "_finish_batch",
+            lambda *args: (finishes.append(1), real_finish(*args)),
+        )
+        monkeypatch.setenv("REPRO_ENGINE_THREADS", "4")
+        baseline = _task_count()
+        run = SimulationEngine(backend="vectorized").start_multi(
+            [(chip, r) for r in _uniform_mode_requests(rng, 16)]
+        )
+        del run
+        gc.collect()
+        assert finishes == [1]
+        # A joined helper's task entry may take a moment to leave /proc.
+        deadline = time.monotonic() + 10.0
+        while _task_count() > baseline and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _task_count() == baseline
+
+
 def _uniform_mode_requests(rng, n_keys):
     """One loop topology, per-key data varying — consecutive keys are
     lane-packable, so the SIMD path actually engages (mode changes and
@@ -601,7 +697,7 @@ class TestPointerTables:
     address goes to C, and the batch FIR takes any row layout."""
 
     def test_malformed_record_refused(self, chip):
-        from repro.engine.native import simulate_plans_native
+        from repro.engine.native import NativeRun
         from repro.engine.plan import build_plan
 
         plan = build_plan(chip.blocks, _pinned_requests()[0])
@@ -611,7 +707,9 @@ class TestPointerTables:
             plan.i_noise.astype(np.float32),  # single precision
         ):
             with pytest.raises(ValueError, match="kernel records"):
-                simulate_plans_native([dataclasses.replace(plan, i_noise=bad)])
+                NativeRun(
+                    [dataclasses.replace(plan, i_noise=bad)], overlap=True
+                )
 
     def test_fir_strided_rows_match_transcription(self):
         from repro.dsp import design_halfband

@@ -11,6 +11,8 @@ engine backend and kernel thread count, which transitively also proves
 the fleet path bit-exact across backends and thread counts.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.calibration import (
@@ -18,8 +20,9 @@ from repro.calibration import (
     Calibrator,
     FleetCalibrator,
     metering,
+    procedure,
 )
-from repro.engine import get_default_engine
+from repro.engine import SimulationEngine, get_default_engine, kernel_threaded
 from repro.process import ChipFactory
 from repro.receiver import Chip, STANDARDS
 
@@ -32,7 +35,7 @@ LOT_SEED = 2020
 
 #: Per-die standard indices for the largest fleet — deliberately mixed,
 #: so lockstep rounds fuse requests of different clocks and targets.
-STANDARD_PATTERN = (0, 1, 0, 2, 1)
+STANDARD_PATTERN = (0, 1, 0, 2, 1, 2, 0)
 
 #: The pristine frequency meter, captured before any test patches it.
 _REAL_METER = metering.oscillation_frequency
@@ -63,12 +66,23 @@ def sequential_baseline():
     return get
 
 
+#: Lot size x engine backend x kernel thread count.  The 7-die lot
+#: gives uneven half-lots (4 and 3 dies) on mixed standards; its
+#: reference-backend run is taken at one thread count only, which keeps
+#: the slowest combination (~7 s) out of tier-1 once.
+FLEET_AXES = [
+    (n_dies, backend, threads)
+    for n_dies in (1, 2, 5, 7)
+    for backend in ("reference", "vectorized")
+    for threads in ("1", "4")
+    if (n_dies, backend, threads) != (7, "reference", "4")
+]
+
+
 class TestFleetMatchesSequential:
     """The tentpole exactness property, over every axis combination."""
 
-    @pytest.mark.parametrize("threads", ["1", "4"])
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    @pytest.mark.parametrize("n_dies", [1, 2, 5])
+    @pytest.mark.parametrize("n_dies, backend, threads", FLEET_AXES)
     def test_fleet_bit_identical(
         self, n_dies, backend, threads, sequential_baseline, monkeypatch
     ):
@@ -129,6 +143,114 @@ class TestFleetMatchesSequential:
 
     def test_empty_fleet(self):
         assert FleetCalibrator(**CAL_KW).calibrate_fleet([], []) == []
+
+
+@pytest.fixture
+def started_runs(monkeypatch):
+    """Every run ``start_multi`` returns, as a record of its
+    ``overlap`` flag and of whether its ``result()`` was called.  Two
+    kernel threads, so a lot runs as half-lots wherever the kernel is
+    built threaded."""
+    monkeypatch.setenv("REPRO_ENGINE_THREADS", "2")
+    runs = []
+    real_start = SimulationEngine.start_multi
+
+    def recording(self, items, **kwargs):
+        run = real_start(self, items, **kwargs)
+        record = {"finished": False, "overlap": kwargs.get("overlap", True)}
+        real_result = run.result
+
+        def result():
+            record["finished"] = True
+            return real_result()
+
+        run.result = result
+        runs.append(record)
+        return run
+
+    monkeypatch.setattr(SimulationEngine, "start_multi", recording)
+    return runs
+
+
+def _kill_die(monkeypatch, victim: int, n_good: int) -> None:
+    """From its ``n_good + 1``-th frequency probe on, die ``victim``
+    reads no oscillation, whatever lot it is calibrated in."""
+    real_probe = procedure._fosc_probe
+    seen = []
+
+    def probe(chip, config, standard, seed):
+        made = real_probe(chip, config, standard, seed)
+        if chip.chip_id != victim:
+            return made
+        seen.append(1)
+        if len(seen) <= n_good:
+            return made
+        return dataclasses.replace(
+            made, decode=lambda results: None, fused_extract=None
+        )
+
+    monkeypatch.setattr(procedure, "_fosc_probe", probe)
+
+
+class TestHalfLots:
+    def test_half_lots_only_where_the_kernel_can_overlap(
+        self, started_runs, monkeypatch
+    ):
+        """Overlapped half-lot submissions where the kernel can
+        integrate beside the driver; one plain submission per round
+        where it cannot (one thread, no kernel)."""
+        chips, standards = _fleet(4)
+        engine = get_default_engine()
+        previous = engine.backend
+        engine.backend = "vectorized"
+        try:
+            for threads, expected in (("1", False), ("2", kernel_threaded())):
+                monkeypatch.setenv("REPRO_ENGINE_THREADS", threads)
+                assert engine.can_overlap() == expected
+                started_runs.clear()
+                Calibrator(**CAL_KW).calibrate_fleet(chips, standards)
+                overlapped = any(run["overlap"] for run in started_runs)
+                assert overlapped == expected
+        finally:
+            engine.backend = previous
+
+
+class TestFailureFinishesRuns:
+    """A failure while one half settles leaves the other half's run in
+    flight; the driver finishes it before the exception leaves."""
+
+    @pytest.mark.parametrize("victim", [2, 3])  # one die of each half
+    def test_dead_die_finishes_the_other_half(
+        self, victim, started_runs, monkeypatch
+    ):
+        chips, standards = _fleet(4)
+        _kill_die(monkeypatch, victim, 3)
+        with pytest.raises(CalibrationFailed) as sequential:
+            Calibrator(batch_probing=False, **CAL_KW).calibrate(
+                chips[victim], standards[victim]
+            )
+        _kill_die(monkeypatch, victim, 3)
+        with pytest.raises(CalibrationFailed) as fleet:
+            Calibrator(**CAL_KW).calibrate_fleet(chips, standards)
+        assert len(started_runs) > 2
+        assert all(run["finished"] for run in started_runs)
+        assert type(fleet.value) is type(sequential.value)
+        assert fleet.value.chip_id == sequential.value.chip_id == victim
+        assert fleet.value.step == sequential.value.step == 6
+        assert fleet.value.log == sequential.value.log
+
+    def test_raising_on_result_finishes_the_other_half(self, started_runs):
+        chips, standards = _fleet(3)
+
+        def refuse(die, result):
+            raise RuntimeError("store unavailable")
+
+        with pytest.raises(RuntimeError, match="store unavailable"):
+            Calibrator(**CAL_KW).calibrate_fleet(
+                chips, standards, on_result=refuse
+            )
+        assert len(started_runs) > 2
+        assert all(run["finished"] for run in started_runs)
 
 
 class TestFleetDeadDie:
