@@ -5,6 +5,11 @@ observes the output buffer, exactly like the paper's off-chip flow with
 external automated test equipment.  This module provides the two meters
 the procedure needs: an oscillation-frequency meter (FFT peak with
 parabolic interpolation) and an oscillation detector (envelope growth).
+
+The frequency meter has one path, :func:`oscillation_frequency_batch`;
+:func:`oscillation_frequency` is its one-record case, and a record's
+reading does not depend on the other records of its call (guarded in
+``tests/test_calibration.py``).
 """
 
 from __future__ import annotations
@@ -14,25 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.dsp.spectrum import periodogram, periodogram_batch
-
-
-def _centered(samples: np.ndarray) -> tuple[np.ndarray, float]:
-    """Mean-removed record and its RMS — the meter's common front end.
-
-    Shared by the scalar and batched frequency meters so the gate
-    arithmetic is the same code (bit-identity by construction).
-    """
-    x = np.asarray(samples, dtype=float)
-    x = x - np.mean(x)
-    return x, float(np.sqrt(np.mean(x**2)))
+from repro.dsp.spectrum import periodogram_batch
 
 
 def _peak_frequency(power: np.ndarray, fs: float, n: int) -> float | None:
-    """Interpolated peak frequency of one calibrated power spectrum.
-
-    The periodogram-peak + parabolic-log-interpolation back end shared
-    by the scalar and batched meters; ``fs / n`` is the bin width.
+    """Interpolated peak frequency of one calibrated power spectrum:
+    the periodogram peak refined by parabolic interpolation of the
+    log-power of the three bins around it; ``fs / n`` is the bin width.
     """
     peak = int(np.argmax(power[1:-1])) + 1
     total = float(np.sum(power))
@@ -55,29 +48,25 @@ def oscillation_frequency(samples: np.ndarray, fs: float) -> float | None:
     Uses the periodogram peak refined by parabolic interpolation of the
     log-power of the three bins around it (standard frequency-metering
     practice, good to a small fraction of a bin).  Returns None when the
-    record is not oscillating (no dominant line above the noise).
+    record is not oscillating (no dominant line above the noise).  The
+    one-record case of :func:`oscillation_frequency_batch`.
     """
-    x, rms = _centered(samples)
-    if rms < 1e-6:
-        return None
-    spec = periodogram(x, fs, window="hann")
-    return _peak_frequency(spec.power, fs, spec.n)
+    return oscillation_frequency_batch([samples], fs)[0]
 
 
 def oscillation_frequency_batch(
     records: Sequence[np.ndarray], fs: float | Sequence[float]
 ) -> list[float | None]:
-    """Batched :func:`oscillation_frequency` over many captured records.
+    """Dominant oscillation frequencies of many captured records, Hz.
 
-    One fused windowed FFT per record length replaces the per-record
-    scalar periodogram — the fleet calibrator's lockstep rounds meter
-    every active die's frequency probe here in one call instead of one
-    FFT per die per round.  Per record this is bit-identical to the
-    scalar meter: centering and gates run the same shared helpers, and
-    a :func:`~repro.dsp.spectrum.periodogram_batch` row equals the 1-D
-    :func:`~repro.dsp.spectrum.periodogram` bitwise (spectrum *power*
-    does not depend on ``fs``, so records may mix clock rates freely —
-    only the final bin-width scaling is per record).
+    Each record is mean-removed; one below 1 uV rms reads None.  The
+    rest take one fused windowed FFT per record length — the fleet
+    calibrator's lockstep rounds meter every active die's frequency
+    probe here in one call.  A
+    :func:`~repro.dsp.spectrum.periodogram_batch` row does not depend
+    on the other rows, and spectrum *power* does not depend on ``fs``,
+    so records may mix clock rates freely — only the final bin-width
+    scaling is per record.
 
     Args:
         records: Captured waveforms; lengths may differ (records group
@@ -98,8 +87,9 @@ def oscillation_frequency_batch(
     out: list[float | None] = [None] * len(records)
     by_length: dict[int, list[tuple[int, np.ndarray]]] = {}
     for i, record in enumerate(records):
-        x, rms = _centered(record)
-        if rms < 1e-6:
+        x = np.asarray(record, dtype=float)
+        x = x - np.mean(x)
+        if float(np.sqrt(np.mean(x**2))) < 1e-6:
             continue
         by_length.setdefault(x.size, []).append((i, x))
     for group in by_length.values():

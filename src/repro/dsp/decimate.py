@@ -12,14 +12,15 @@ polyphase-free direct convolution) rather than as a single black-box
 filter, so that the digital section can be locked/unlocked at the block
 level by the MixLock baseline.
 
-Every stage also takes a ``(keys, samples)`` matrix through
-``process_matrix``: key sweeps decimate the whole batch in one pass
-instead of re-entering the chain per key.  The matrix path is
-bit-identical to running ``process`` row by row — integrators are
-per-row cumulative sums (NumPy accumulates each row of an ``axis=-1``
-cumsum in the same sequential order as the 1-D call), combs and
-subsampling are elementwise, and the FIR stages run one *pinned-order*
-convolution primitive everywhere (see below).
+Every stage has one path, ``process_matrix``, over a ``(keys,
+samples)`` matrix: key sweeps decimate the whole batch in one pass, and
+``process`` on a single record is its one-row case.  A row's output
+does not depend on the other rows — integrators are per-row cumulative
+sums (NumPy accumulates each row of an ``axis=-1`` cumsum in the same
+sequential order as a 1-D call), combs and subsampling are elementwise,
+and the FIR stages run one *pinned-order* convolution primitive (see
+below) — so a record decimates to the same bits alone or in a batch
+(guarded in ``tests/test_dsp_filters_decimate.py``).
 
 Pinned-order FIR
 ----------------
@@ -83,26 +84,16 @@ class CicDecimator:
         return float((self.rate * self.differential_delay) ** self.order)
 
     def process(self, samples: np.ndarray) -> np.ndarray:
-        """Decimate ``samples`` by ``rate``, normalised to unit DC gain.
-
-        Integrators run at the input rate (cumulative sums), the stream is
-        subsampled, then combs run at the output rate.
-        """
-        x = np.asarray(samples, dtype=complex if np.iscomplexobj(samples) else float)
-        for _ in range(self.order):
-            x = np.cumsum(x)
-        x = x[:: self.rate]
-        for _ in range(self.order):
-            delayed = np.concatenate([np.zeros(self.differential_delay, dtype=x.dtype), x[: -self.differential_delay]])
-            x = x - delayed
-        return x / self.gain
+        """Decimate one record: the one-row case of :meth:`process_matrix`."""
+        return self.process_matrix(np.asarray(samples)[None])[0]
 
     def process_matrix(self, samples: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`process` of a ``(keys, samples)`` matrix.
+        """Decimate every row of a ``(keys, samples)`` matrix by
+        ``rate``, normalised to unit DC gain.
 
-        One pass decimates every key; each row is bit-identical to the
-        1-D call (cumulative sums accumulate per row in the same order,
-        combs and the gain division are elementwise).
+        Integrators run at the input rate (cumulative sums along each
+        row), the rows are subsampled, then combs run at the output
+        rate.
         """
         x = np.asarray(samples, dtype=complex if np.iscomplexobj(samples) else float)
         if x.ndim != 2:
@@ -179,12 +170,8 @@ def _fir_rows(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FirDecimator:
-    """Direct-form FIR filter followed by subsampling.
-
-    Both entry points run the pinned-order convolution (module
-    docstring): :meth:`process` as a one-row matrix, so scalar and
-    matrix paths are bit-identical by construction.
-    """
+    """Direct-form FIR filter followed by subsampling, through the
+    pinned-order convolution (module docstring)."""
 
     taps: np.ndarray
     rate: int = 1
@@ -195,22 +182,15 @@ class FirDecimator:
             raise ValueError(f"rate must be >= 1, got {self.rate}")
 
     def process(self, samples: np.ndarray) -> np.ndarray:
-        """Filter then keep every ``rate``-th sample ('same' alignment)."""
-        x = np.asarray(samples)
-        if np.iscomplexobj(x):
-            y = self._filter(x.real[None, :])[0] + 1j * self._filter(
-                x.imag[None, :]
-            )[0]
-        else:
-            y = self._filter(x[None, :])[0]
-        return y[:: self.rate]
+        """Filter one record: the one-row case of :meth:`process_matrix`."""
+        return self.process_matrix(np.asarray(samples)[None])[0]
 
     def process_matrix(self, samples: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`process` of a ``(keys, samples)`` matrix.
+        """Filter every row of a ``(keys, samples)`` matrix, then keep
+        every ``rate``-th sample ('same' alignment).
 
         One pinned-order batch convolution covers every key (threaded
-        in the kernel path) — the per-row ``np.convolve`` Python loop
-        this method used to carry is gone.
+        in the kernel path).
         """
         x = np.asarray(samples)
         if x.ndim != 2:
@@ -266,27 +246,13 @@ class DecimationChain:
         return list(self._stages)
 
     def process(self, samples: np.ndarray) -> np.ndarray:
-        """Run ``samples`` through the full chain (complex-safe)."""
-        x = np.asarray(samples)
-        if np.iscomplexobj(x):
-            real = x.real.astype(float)
-            imag = x.imag.astype(float)
-            for stage in self._stages:
-                real = stage.process(real)
-                imag = stage.process(imag)
-            return real + 1j * imag
-        x = x.astype(float)
-        for stage in self._stages:
-            x = stage.process(x)
-        return x
+        """Run one record through the full chain: the one-row case of
+        :meth:`process_matrix`."""
+        return self.process_matrix(np.asarray(samples)[None])[0]
 
     def process_matrix(self, samples: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`process` of a ``(keys, samples)`` matrix.
-
-        Decimates every key in one pass through each stage; rows are
-        bit-identical to the per-key scalar chain (see the stage
-        ``process_matrix`` docstrings for the exactness argument).
-        """
+        """Run every row of a ``(keys, samples)`` matrix through the
+        full chain (complex-safe), one pass per stage."""
         x = np.asarray(samples)
         if x.ndim != 2:
             raise ValueError(f"expected a (keys, samples) matrix, got shape {x.shape}")

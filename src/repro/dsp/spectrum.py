@@ -127,26 +127,9 @@ def periodogram(samples: np.ndarray, fs: float, window: str = "hann") -> Spectru
 
     Real inputs yield a one-sided spectrum; complex inputs (e.g. the
     receiver's complex baseband output) a two-sided, fftshifted one.
+    The one-row case of :func:`periodogram_batch`.
     """
-    x = np.asarray(samples)
-    n = x.size
-    if n < 8:
-        raise ValueError(f"need at least 8 samples, got {n}")
-    win = make_window(window, n)
-    xw = x * win.samples
-    scale = 1.0 / (n**2 * win.coherent_gain**2 * win.noise_bandwidth_bins)
-    if np.iscomplexobj(x):
-        spec = np.fft.fftshift(np.fft.fft(xw))
-        freqs = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / fs))
-        power = np.abs(spec) ** 2 * scale
-    else:
-        spec = np.fft.rfft(xw)
-        freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-        power = np.abs(spec) ** 2 * (2.0 * scale)
-        power[0] *= 0.5
-        if n % 2 == 0:
-            power[-1] *= 0.5
-    return Spectrum(freqs=freqs, power=power, fs=fs, n=n, window=win)
+    return periodogram_batch(np.asarray(samples)[None], fs, window)[0]
 
 
 def periodogram_batch(
@@ -156,10 +139,11 @@ def periodogram_batch(
 
     Key sweeps measure many records of one length at one clock, so the
     windowing and FFT run over the whole matrix (the FFT is applied
-    along the last axis, which transforms each row exactly as the 1-D
-    call does) and the window is designed once.  Per-row spectra are
-    bit-identical to :func:`periodogram` (guarded in
-    ``tests/test_dsp_windows_spectrum.py``).
+    along the last axis, which transforms each row exactly as a 1-D
+    call does) and the window is designed once.  A row's spectrum does
+    not depend on the other rows of its matrix (guarded in
+    ``tests/test_dsp_windows_spectrum.py``), so :func:`periodogram` is
+    the one-row case.
     """
     x = np.asarray(samples)
     if x.ndim != 2:

@@ -21,22 +21,23 @@ Architecture
        build_plan()                            per-batch stimulus)
             |    per-key setup, exact legacy RNG draw order
             |
-            +--> reference backend   (original scalar loop, ground truth)
-            +--> vectorized backend  (key-axis batch -> compiled kernel)
+            +--> compiled kernel   (key-axis batch, native.NativeRun)
+            +--> reference loop    (original scalar loop, ground truth)
 
 Backends
 --------
 
-* **reference** — the original per-sample scalar recursion, verbatim.
-  The semantic ground truth.
+* **reference** — the original per-sample scalar recursion, verbatim
+  (:mod:`repro.engine.reference`).  The semantic ground truth.
 * **vectorized** — hands the whole batch, with per-key state ``(v,
   i_L)`` and constants laid out over the key axis, to a small compiled
-  C kernel (built from ``_kernel.c`` on first use, cached per user).
-  One call integrates every key, which makes multi-key sweeps an order
-  of magnitude faster; without a C compiler it falls back to running
-  the reference loop per key, so results never depend on the toolchain.
-* **auto** (default) — vectorized whenever the compiled kernel is
-  available, reference otherwise.
+  C kernel (built from ``_kernel.c`` on first use, cached per user;
+  :mod:`repro.engine.native`).  One call integrates every key, which
+  makes multi-key sweeps an order of magnitude faster.  Without a C
+  compiler (or with ``REPRO_ENGINE_DISABLE_KERNEL``) it runs the
+  reference loop, and its runs count as ``n_reference_runs``, so
+  results never depend on the toolchain.
+* **auto** (default) — the same as ``vectorized``.
 
 Threading
 ---------
@@ -152,14 +153,16 @@ Batched post-processing
 -----------------------
 
 The post-integration stages batch along the key axis as well, so they
-cannot become the serial tail of a sweep: ``run_receiver`` regroups
-modulator outputs into ``(keys, samples)`` matrices for
-:meth:`~repro.receiver.chain.DigitalChain.process_matrix` (slicer,
-fs/4 mixer and decimators in one pass per batch), and the
+cannot become the serial tail of a sweep, and each has one path:
+``run_receiver`` regroups modulator outputs into ``(keys, samples)``
+matrices for :meth:`~repro.receiver.chain.DigitalChain.process_matrix`
+(slicer, fs/4 mixer and decimators in one pass per batch), the
 ``measure_*_batch``/oracle sweep primitives take their spectra through
 :func:`~repro.dsp.spectrum.periodogram_batch` (one windowed FFT over
-the whole matrix).  Both are bit-identical per key to the scalar
-paths; the calibration layer's batched coordinate descent
+the whole matrix).  Each single-record call (``process``,
+``periodogram``) is the one-row case of its batch, and a row's result
+does not depend on the rest of its batch; the calibration layer's
+batched coordinate descent
 (:func:`~repro.calibration.optimizer.coordinate_descent` with
 ``batch_objective``) builds on the same primitives.
 """

@@ -23,7 +23,6 @@ from repro.engine.plan import build_plan
 from repro.engine.store import CalibrationStore
 from repro.engine.reference import simulate_plan
 from repro.engine.request import ModulatorRequest, ReceiverRequest
-from repro.engine.vectorized import start_plans
 from repro.receiver.chain import DigitalChain, ReceiverResult
 from repro.receiver.config import DigitalConfig
 from repro.receiver.sdm import ModulatorResult
@@ -83,11 +82,11 @@ class SimulationEngine:
     """Batched oracle: ``run(chip, requests) -> results``.
 
     Args:
-        backend: ``"reference"`` forces the scalar loop, ``"vectorized"``
-            forces the batch backend (any batch size), ``"auto"`` uses
-            the batch backend whenever its compiled kernel is available.
-            Backends are bit-exact, so dispatch is purely a throughput
-            decision.
+        backend: ``"reference"`` forces the scalar loop;
+            ``"vectorized"`` and ``"auto"`` hand every batch to the
+            compiled kernel wherever it is available, and run the
+            reference loop where it is not.  Backends are bit-exact, so
+            dispatch is purely a throughput decision.
         calibration_cache_size: Bound on the engine-owned calibration
             result cache (replaces the old unbounded module global).
     """
@@ -171,8 +170,9 @@ class SimulationEngine:
         each group's team gets up to one helper per lane pack, so even
         a one-pack group integrates meanwhile; with ``False`` the
         caller is one of the team, as in :meth:`run_multi`.  It sizes
-        the team only; no result depends on it.  The reference backend
-        and the no-compiler fallback integrate here, before returning.
+        the team only; no result depends on it.  The reference loop
+        (the reference backend, or no kernel) integrates here, before
+        returning.
         Two submissions may be in flight at once — the fleet calibrator
         integrates one half-lot while it decodes and plans the other —
         and each result is still a pure function of its request.  A
@@ -201,7 +201,7 @@ class SimulationEngine:
                 ]
                 start = time.perf_counter()
                 if self._use_vectorized():
-                    finish = start_plans(plans, overlap)
+                    finish = native.NativeRun(plans, overlap).finish
                     self.stats.n_vectorized_runs += len(plans)
                 else:
                     # Integrated now; finishing only hands them over.
@@ -223,11 +223,9 @@ class SimulationEngine:
         return self.run(chip, [request])[0]
 
     def _use_vectorized(self) -> bool:
-        if self.backend == "vectorized":
-            return True
-        if self.backend == "reference":
-            return False
-        return native.kernel_available()
+        """Any backend but ``reference`` runs the kernel where it is
+        available; elsewhere every backend runs the reference loop."""
+        return self.backend != "reference" and native.kernel_available()
 
     def can_overlap(self) -> bool:
         """Whether a :meth:`start_multi` submission can integrate

@@ -1,11 +1,20 @@
 """Build, load and drive the compiled batch kernel (``_kernel.c``).
 
+The modulator's time recursion is sequential, but configuration words
+are independent: the kernel carries the tank state, comparator history
+and per-key constants over the *key axis* and advances every key of a
+batch together, an order of magnitude over the interpreted per-key
+loop.  A NumPy-ufunc formulation of the same key-axis recursion was
+measured first and rejected: with ~0.5 µs of dispatch overhead per
+elementwise op and ~14 ops per substep, it loses to the scalar loop
+below ~30 keys — the regime every quick-mode sweep lives in.
+
 The kernel is compiled on first use with the system C compiler into a
 per-user cache directory keyed by a hash of the source and flags, so
 editing the source or upgrading the repo transparently rebuilds it.
 Machines without a compiler simply report the kernel unavailable and
-the vectorized backend falls back to the (bit-identical) reference
-loop — nothing is ever ``pip install``-ed.
+the engine runs the (bit-identical) reference loop under every backend
+— nothing is ever ``pip install``-ed.
 
 Why C is bit-exact with the Python reference loop:
 
@@ -517,6 +526,10 @@ def _finish_batch(handle: int | None, held: tuple) -> None:
 class NativeRun:
     """A kernel batch in flight: start integrating ``plans`` through the
     compiled kernel and return at once.
+
+    The plans must share one time grid, as the engine's groups do: a
+    mixed list has a record of the wrong length, which
+    :func:`_pointer_table` refuses before the kernel starts.
 
     The kernel's helpers work on the batch while the caller goes on;
     :meth:`finish` completes it.  ``overlap`` says whether the caller

@@ -1,10 +1,10 @@
 """Reference backend: the original per-sample scalar integrator.
 
-This is the ground truth the vectorized backend is held bit-exact to.
-The loop is a faithful transcription of the original
-``repro.receiver.sdm.simulate_modulator`` recursion — same ``math.tanh``
-transcendental, same operand order, same results to the last bit — it
-merely reads its inputs from a precomputed
+This is the ground truth the compiled kernel is held bit-exact to, and
+what every backend runs where the kernel is unavailable.  The loop is a
+faithful transcription of the original single-key modulator recursion —
+same ``math.tanh`` transcendental, same operand order, same results to
+the last bit — it merely reads its inputs from a precomputed
 :class:`~repro.engine.plan.KeyPlan` instead of rebuilding them inline,
 so both backends integrate from identical inputs (see the
 :mod:`repro.engine.plan` docstring for the exactness contract).

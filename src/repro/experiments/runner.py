@@ -167,6 +167,10 @@ def run_all(
     from repro.service import ExperimentJob, FoundryService
 
     stream = stream or sys.stdout
+    engine = get_default_engine()
+    # The job restores the engine's backend when it ends, so name the
+    # one it runs before submitting it.
+    ran_backend = backend or engine.backend
     handle = FoundryService().submit(
         ExperimentJob(
             names=tuple(names) if names else None, full=full, backend=backend
@@ -180,12 +184,11 @@ def run_all(
         timings.append((event.label, event.seconds))
         print(result.format_table(), file=stream)
         print(f"# completed in {event.seconds:.1f} s\n", file=stream)
-    engine = get_default_engine()
     print("== timing summary ==", file=stream)
     for name, elapsed in timings:
         print(f"{name:12s} {elapsed:8.1f} s", file=stream)
     print(
-        f"# engine backend={engine.backend}: {engine.stats.n_requests} "
+        f"# engine backend={ran_backend}: {engine.stats.n_requests} "
         f"simulations in {engine.stats.n_batches} batches "
         f"({engine.stats.n_vectorized_runs} vectorized, "
         f"{engine.stats.n_reference_runs} reference), "
@@ -204,7 +207,7 @@ def run_all(
             {
                 "schema": "repro.experiments/v1",
                 "mode": "full" if full else "quick",
-                "backend": engine.backend,
+                "backend": ran_backend,
                 "experiments": [
                     {
                         **experiment_result_to_dict(result),

@@ -12,13 +12,14 @@ After slicing, the stream is down-converted by the multiplier-free fs/4
 mixer and decimated by the OSR through the CIC + compensation + half-band
 chain of :mod:`repro.dsp.decimate`.
 
-Key sweeps go through :meth:`DigitalChain.process_matrix`: the slicer,
-mixer and decimators all take the whole ``(keys, samples)`` batch in one
-pass (the engine's ``run_receiver`` routes batched requests through it),
-with per-key rows bit-identical to :meth:`DigitalChain.process`.  The
-FIR stages inside run the pinned-order batch convolution (C kernel with
-a bit-identical NumPy fallback — see :mod:`repro.dsp.decimate`), so no
-per-row Python loop survives anywhere in the matrix path.
+The chain has one path, :meth:`DigitalChain.process_matrix`: the
+slicer, mixer and decimators all take the whole ``(keys, samples)``
+batch in one pass (the engine's ``run_receiver`` routes batched
+requests through it), and :meth:`DigitalChain.process` on one record is
+its one-row case.  A key's result does not depend on the rest of its
+batch (guarded in ``tests/test_receiver_chain.py``).  The FIR stages
+inside run the pinned-order batch convolution (C kernel with a
+bit-identical NumPy fallback — see :mod:`repro.dsp.decimate`).
 """
 
 from __future__ import annotations
@@ -73,26 +74,20 @@ class DigitalChain:
         return np.where(np.asarray(samples) >= self.logic_threshold, 1.0, -1.0)
 
     def process(self, modulator_output: np.ndarray, fs: float) -> ReceiverResult:
-        """Slice, down-convert and decimate a modulator output record."""
-        sliced = self.slice_input(modulator_output)
-        seq_i, seq_q = fs4_mixer_sequences(sliced.size)
-        i_stream = sliced * seq_i
-        q_stream = sliced * seq_q
-        i_dec = self._decimator.process(i_stream)
-        q_dec = self._decimator.process(q_stream)
-        baseband = i_dec + 1j * q_dec
-        return ReceiverResult(baseband=baseband, fs_out=fs / self.osr, fs_mod=fs)
+        """Slice, down-convert and decimate one modulator output record:
+        the one-row case of :meth:`process_matrix`."""
+        return self.process_matrix(np.asarray(modulator_output)[None], fs)[0]
 
     def process_matrix(
         self, modulator_outputs: np.ndarray, fs: float | Sequence[float]
     ) -> list[ReceiverResult]:
-        """Batched :meth:`process`: a ``(keys, samples)`` matrix in one pass.
+        """Slice, down-convert and decimate a ``(keys, samples)`` matrix
+        of modulator output records in one pass.
 
         The slicer and fs/4 mixer are elementwise over the matrix, and
         the I and Q streams of every key are stacked into a single
         ``(2 * keys, samples)`` matrix so the decimation chain runs once
-        for the whole batch.  Per-key results are bit-identical to the
-        scalar method (guarded in ``tests/test_receiver_chain.py``).
+        for the whole batch.
 
         Args:
             modulator_outputs: ``(keys, samples)`` modulator records.

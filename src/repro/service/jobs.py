@@ -128,6 +128,34 @@ def validate_backend(backend) -> None:
         )
 
 
+def validate_triple(triple, where: str) -> None:
+    """Reject a ``(lot_seed, chip_id, standard_index)`` that is not
+    three non-negative integers naming a known standard."""
+    from repro.receiver.standards import STANDARDS
+
+    triple = tuple(triple)
+    if len(triple) != 3 or not all(
+        isinstance(value, int) and not isinstance(value, bool)
+        for value in triple
+    ):
+        raise ValueError(
+            f"{where} must be (lot_seed, chip_id, standard_index) "
+            f"integers, got {triple!r}"
+        )
+    lot_seed, chip_id, standard_index = triple
+    if lot_seed < 0 or chip_id < 0:
+        raise ValueError(
+            f"{where} {triple!r}: lot_seed and chip_id must be "
+            f"non-negative integers"
+        )
+    indices = sorted(std.index for std in STANDARDS)
+    if standard_index not in indices:
+        raise ValueError(
+            f"{where} {triple!r}: unknown standard index "
+            f"{standard_index}; choose from {indices}"
+        )
+
+
 def default_worker_count() -> int:
     """Resolve the service-wide default worker count from
     ``REPRO_SERVICE_WORKERS`` (unset or empty means 1, in-process)."""
@@ -242,6 +270,10 @@ class CampaignJob:
         if self.n_workers is not None:
             validate_worker_count(self.n_workers)
         validate_backend(self.backend)
+        for i, cell in enumerate(self.cells):
+            s = cell.scenario
+            validate_triple((s.chip.lot_seed, s.chip.chip_id,
+                             s.standard_index), f"cell {i} die and standard")
 
 
 @dataclass(frozen=True)
@@ -261,32 +293,10 @@ class ProvisioningJob:
     n_workers: int | None = None
 
     def validate(self) -> None:
-        from repro.receiver.standards import STANDARDS
-
         if self.calibration_store is None:
             raise ValueError("ProvisioningJob requires a calibration_store")
-        indices = sorted(std.index for std in STANDARDS)
         for triple in self.triples:
-            triple = tuple(triple)
-            if len(triple) != 3 or not all(
-                isinstance(value, int) and not isinstance(value, bool)
-                for value in triple
-            ):
-                raise ValueError(
-                    f"provisioning triples are (lot_seed, chip_id, "
-                    f"standard_index) integers, got {triple!r}"
-                )
-            lot_seed, chip_id, standard_index = triple
-            if lot_seed < 0 or chip_id < 0:
-                raise ValueError(
-                    f"provisioning triple {triple!r}: lot_seed and chip_id "
-                    f"must be non-negative integers"
-                )
-            if standard_index not in indices:
-                raise ValueError(
-                    f"provisioning triple {triple!r}: unknown standard "
-                    f"index {standard_index}; choose from {indices}"
-                )
+            validate_triple(triple, "provisioning triple")
         if self.n_workers is not None:
             validate_worker_count(self.n_workers)
         validate_backend(self.backend)

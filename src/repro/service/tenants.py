@@ -31,7 +31,8 @@ Rate refusals follow the identical contract: :class:`RateLimited` is a
 :class:`QueryBudgetExceeded`, raised with the tenant meter, oracle
 meter **and** the bucket all un-advanced, so a refused chunk can be
 retried after ``retry_after`` seconds without having consumed
-anything.
+anything.  A request above a bucket's capacity can never fit, so it
+is refused with a plain :class:`QueryBudgetExceeded` instead.
 
 Worker processes install their task's meter through
 :func:`repro.attacks.oracle.install_tenant_meter`; every oracle charge
@@ -254,9 +255,15 @@ class TokenBucket:
 
     def take(self, n: float = 1.0) -> None:
         """Atomically debit ``n`` tokens, or raise :class:`RateLimited`
-        with the bucket un-advanced when they are not there yet."""
+        with the bucket un-advanced when they are not there yet (a
+        plain :class:`QueryBudgetExceeded` when they never can be)."""
         if n < 0:
             raise ValueError(f"cannot take a negative amount, got {n}")
+        if n > self.capacity + 1e-9:
+            raise QueryBudgetExceeded(
+                f"tenant {self.tenant or self.path.stem!r} {self.kind} "
+                f"request of {n:g} exceeds the capacity of {self.capacity:g}/min"
+            )
         with _locked(self.path):
             now = self.clock()
             tokens = self._refilled(now)
@@ -373,7 +380,7 @@ class TenantMeter:
                     f"({count} spent, {n} more requested)"
                 )
             if self.bucket is not None:
-                self.bucket.take(n)  # RateLimited leaves everything as-is
+                self.bucket.take(n)  # a refusal leaves everything as-is
             if self._reservation is not None:
                 reserved = _read_count(self._reservation)
                 self._reservation.write_text(f"{reserved + n}\n")

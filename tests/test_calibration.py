@@ -223,14 +223,16 @@ class TestDeadDie:
     def test_calibrate_raises_with_log_and_die(
         self, hero_chip, ref_standard, monkeypatch
     ):
-        real = oscillation_frequency
+        # The scalar meter is the one-record case of the batch meter,
+        # so the injector must read through the real batch meter.
+        real_batch = metering.oscillation_frequency_batch
         calls = []
 
         def dies_mid_bisection(samples, fs):
             calls.append(1)
             if len(calls) > 4:  # a few healthy readings, then silence
                 return None
-            return real(samples, fs)
+            return real_batch([samples], fs)[0]
 
         def dies_mid_bisection_batch(records, fs):
             # The lockstep driver meters frequency probes through the

@@ -369,6 +369,26 @@ class TestRunnerJson:
         assert payload["experiments"][0]["experiment_id"] == "tab-overhead"
         assert payload["experiments"][0]["rows"][-1][0] == "this work"
 
+    def test_runner_json_names_the_backend_it_ran(self, tmp_path):
+        """The job restores the engine's backend before the runner
+        writes its artefact, which must still name the one it ran."""
+        import io
+
+        from repro.engine import get_default_engine
+        from repro.experiments import runner
+
+        default = get_default_engine().backend
+        other = "vectorized" if default == "reference" else "reference"
+        path = tmp_path / "report.json"
+        stream = io.StringIO()
+        runner.run_all(
+            names=["tab-ovr"], stream=stream, backend=other,
+            json_path=str(path),
+        )
+        assert json.loads(path.read_text())["backend"] == other
+        assert f"# engine backend={other}:" in stream.getvalue()
+        assert get_default_engine().backend == default
+
 
 class TestOracleAttackAdapters:
     """Adapter metering matches the primitive attacks exactly."""

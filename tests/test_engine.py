@@ -710,6 +710,13 @@ class TestPointerTables:
                 NativeRun(
                     [dataclasses.replace(plan, i_noise=bad)], overlap=True
                 )
+        # Two time grids in one batch: a record of the second plan has
+        # the wrong length for the first plan's grid.
+        other_grid = build_plan(
+            chip.blocks, dataclasses.replace(_pinned_requests()[0], substeps=2)
+        )
+        with pytest.raises(ValueError, match="kernel records"):
+            NativeRun([plan, other_grid], overlap=True)
 
     def test_fir_strided_rows_match_transcription(self):
         from repro.dsp import design_halfband

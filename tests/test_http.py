@@ -114,6 +114,25 @@ class TestTokenBucket:
         with pytest.raises(ValueError, match="negative"):
             bucket.take(-1.0)
 
+    def test_take_above_capacity_refused_for_good(self, tmp_path):
+        """The bucket never holds more than its capacity, so a larger
+        request is refused without a retry_after it could never meet."""
+        from repro.attacks.oracle import QueryBudgetExceeded
+
+        clock = FakeClock()
+        bucket = TokenBucket(tmp_path / "t.submits", 0.5, tenant="t",
+                             kind="submission", clock=clock)
+        assert bucket.level() == 0.5
+        for _ in range(2):
+            with pytest.raises(QueryBudgetExceeded) as err:
+                bucket.take(1.0)
+            assert not isinstance(err.value, RateLimited)
+            assert "capacity of 0.5/min" in str(err.value)
+            assert bucket.level() == 0.5
+            assert not bucket.path.exists()
+            clock.advance(3600.0)
+        bucket.take(0.5)  # a request within capacity still fits
+
     def test_refund_caps_at_capacity(self, tmp_path):
         clock = FakeClock()
         bucket = TokenBucket(tmp_path / "t.submits", 10.0, clock=clock)
@@ -412,6 +431,23 @@ class TestHTTPFacade:
             )
             assert status == 400, (job, reply)
             assert "auto, reference, vectorized" in reply["error"]
+
+    def test_out_of_range_cell_is_400(self, frontend):
+        """A cell's die and standard are refused at submit, not in a
+        worker."""
+        for scenario, needle in (
+            ({"standard_index": 100}, "unknown standard index 100"),
+            ({"chip": {"lot_seed": 2020, "chip_id": -1}}, "non-negative"),
+        ):
+            job = {**CAMPAIGN_JSON, "cells": [
+                {"attack": "brute-force",
+                 "scenario": {"budget": 6, "n_fft": 1024, **scenario}},
+            ]}
+            status, reply = http_request(
+                frontend.address, "POST", "/v1/jobs", {"job": job}
+            )
+            assert status == 400, (job, reply)
+            assert needle in reply["error"]
 
     def test_empty_experiment_filter_is_400(self, frontend):
         # An empty filter is refused, not read as "the whole registry".

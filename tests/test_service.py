@@ -288,18 +288,40 @@ class TestSubmitValidation:
             FoundryService().submit(job)
 
     @pytest.mark.parametrize(
-        "triple, needle",
+        "kind, triple, needle",
         [
-            ((2020, 0, 99), r"unknown standard index 99; choose from \[0,"),
-            ((2020, "0", 0), "integers"),
-            ((2020, 0, True), "integers"),
-            ((2020, 0), "integers"),
-            ((2020, -1, 0), "non-negative"),
+            ("provisioning", (2020, 0, 99),
+             r"unknown standard index 99; choose from \[0,"),
+            ("provisioning", (2020, "0", 0), "integers"),
+            ("provisioning", (2020, 0, True), "integers"),
+            ("provisioning", (2020, 0), "integers"),
+            ("provisioning", (2020, -1, 0), "non-negative"),
+            ("campaign", (2020, 0, 100),
+             r"unknown standard index 100; choose from \[0,"),
+            ("campaign", (2020, "0", 0), "integers"),
+            ("campaign", (2020, 0, True), "integers"),
+            ("campaign", (2020, -1, 0), "non-negative"),
         ],
-        ids=["standard", "str-field", "bool-field", "short", "negative"],
+        ids=[
+            "standard", "str-field", "bool-field", "short", "negative",
+            "campaign-standard", "campaign-str-field", "campaign-bool-field",
+            "campaign-negative",
+        ],
     )
-    def test_bad_provisioning_triple_rejected(self, triple, needle):
-        job = ProvisioningJob(triples=(triple,), calibration_store="store")
+    def test_bad_provisioning_triple_rejected(self, kind, triple, needle):
+        """A triple is a provisioning job's input and a campaign cell's
+        die and standard (a 2-tuple is a triple-only case)."""
+        if kind == "provisioning":
+            job = ProvisioningJob(triples=(triple,), calibration_store="store")
+        else:
+            lot_seed, chip_id, standard_index = triple
+            job = CampaignJob(cells=(CampaignCell(
+                "brute-force",
+                ThreatScenario(
+                    chip=ChipSpec(lot_seed, chip_id),
+                    standard_index=standard_index, budget=6, n_fft=1024,
+                ),
+            ),))
         with pytest.raises(ValueError, match=needle):
             FoundryService().submit(job)
 
