@@ -40,12 +40,7 @@ from repro.campaigns.scenario import (
     ChipSpec,
     ThreatScenario,
 )
-from repro.engine import (
-    CalibrationStore,
-    clear_caches,
-    get_default_engine,
-    set_default_backend,
-)
+from repro.engine import CalibrationStore
 from repro.receiver.standards import standard_by_index
 
 
@@ -174,38 +169,18 @@ def _named(entry: str | tuple[str, dict]) -> tuple[str, dict]:
     return name, dict(params)
 
 
-def _worker_init(backend: str | None, store_path: str | None = None) -> None:
-    """Give each worker a pristine engine of the requested backend.
-
-    Workers inherit (fork) or rebuild (spawn) the module state; either
-    way the caches are dropped so every worker meters its own engine
-    from zero — the caches are deterministic value caches, so this
-    cannot change any report, only the sharing.  The campaign's shared
-    calibration store is detached *before* the caches are cleared (a
-    forked worker must not wipe the parent's store) and re-attached
-    after, so every worker of one campaign reads through the same
-    store.
-    """
-    engine = get_default_engine()
-    engine.calibration_store = None
-    if backend is not None:
-        set_default_backend(backend)
-    clear_caches()
-    if store_path is not None:
-        engine.calibration_store = CalibrationStore(store_path)
-
-
 def provision_fleet(
     triples: Sequence[tuple[int, int, int]],
     store: CalibrationStore | str,
-    backend: str | None = None,
 ) -> int:
     """Fleet-calibrate ``triples`` into ``store`` in one lockstep pass.
 
     Builds each missing triple's die and runs one
     :meth:`~repro.calibration.procedure.Calibrator.calibrate_fleet`
     over the whole (possibly mixed-lot, mixed-standard) fleet with the
-    design-house default calibrator.  Results stream into the store as
+    design-house default calibrator on the default engine (a
+    provisioning task sets its job's backend around the call).
+    Results stream into the store as
     each die's machine completes, with ``"fleet"``-tagged audit events
     — one audit line per die computed, so "each die calibrated once
     campaign-wide" stays countable, and a die that fails mid-lot does
@@ -237,20 +212,13 @@ def provision_fleet(
         for lot_seed, chip_id, _ in todo
     ]
     standards = [standard_by_index(index) for _, _, index in todo]
-    engine = get_default_engine()
-    previous = engine.backend
-    if backend is not None:
-        set_default_backend(backend)
-    try:
-        Calibrator().calibrate_fleet(
-            chips,
-            standards,
-            on_result=lambda die, result: store.put(
-                todo[die], result, event="fleet"
-            ),
-        )
-    finally:
-        engine.backend = previous
+    Calibrator().calibrate_fleet(
+        chips,
+        standards,
+        on_result=lambda die, result: store.put(
+            todo[die], result, event="fleet"
+        ),
+    )
     return len(todo)
 
 
@@ -294,13 +262,14 @@ def run_campaign(
     Args:
         cells: Independent campaign cells (see :func:`expand_matrix`).
         n_workers: 1 runs in-process; more shards cells over a
-            supervised worker fleet private to the campaign (one
-            private engine per worker).  None resolves
-            ``REPRO_SERVICE_WORKERS`` (default 1).  Reports are
-            bit-identical whatever the count; non-positive counts are
-            rejected up front.
-        backend: Optional engine backend for the cells (restored after
-            an in-process run; workers die with their setting).
+            supervised worker fleet private to the campaign.  None
+            resolves ``REPRO_SERVICE_WORKERS`` (default 1).  Reports
+            are bit-identical whatever the count; non-positive counts
+            are rejected up front.
+        backend: Optional engine backend for the cells.  It applies
+            around each cell only, in process and on a worker alike;
+            between cells, and after the run, the engine keeps its
+            own backend.
         json_path: When given, the machine-readable campaign artefact
             is written there (see :mod:`repro.campaigns.serialization`).
         calibration_store: Directory for the cross-process calibration

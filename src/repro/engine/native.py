@@ -83,10 +83,12 @@ their own team, so a host of ``T`` cores briefly runs up to
 ``2 (T - 1)`` helpers beside the caller; the work is the same and the
 pack counter balances it.
 
-Per-batch teams are also what keeps ``fork()`` safe (campaign worker
-pools fork): no threading runtime state outlives a start/finish pair,
-where a forked child of an OpenMP parent would deadlock in the orphaned
-runtime — which is why this is pthreads and not OpenMP.  Fork safety
+Per-batch teams are also what keeps ``fork()`` safe (the service's
+worker fleets fork): no threading runtime state outlives a
+start/finish pair, where a forked child of an OpenMP parent would
+deadlock in the orphaned runtime — which is why this is pthreads and
+not OpenMP.  A fleet worker pins its OpenBLAS pools to one thread for
+its life (:func:`blas_pinned`).  Fork safety
 holds per pair: a fork between a start and its finish would copy a
 handle whose helpers the child does not have.  No caller forks inside
 a pair: ``run_multi`` closes its pairs before returning, and
@@ -343,18 +345,25 @@ def blas_threads() -> dict[str, int]:
     return {path: get() for path, _, get in _loaded_openblas()}
 
 
-def pin_blas_threads() -> None:
-    """Set every loaded OpenBLAS copy to one thread.
+#: Open :func:`blas_pinned` blocks, and each pinned copy's count from
+#: before the first of them.
+_pin_depth = 0
+_pinned_from: list[tuple] = []
 
-    Every fleet worker calls this first, for its whole life.  N fleet
-    processes already cover N cores, while each OpenBLAS copy sizes its
-    pool to every core, and the helper thread scipy's ``expm`` (in
+
+@contextmanager
+def blas_pinned():
+    """Pin every loaded OpenBLAS copy to one thread for a block.
+
+    A fleet worker runs its whole life inside one: N fleet processes
+    already cover N cores, while each OpenBLAS copy sizes its pool to
+    every core, and the helper thread scipy's ``expm`` (in
     :func:`~repro.engine.plan.discretise_tank`) wakes keeps spinning on
-    the core the next worker needs.  In-process jobs pin for their own
-    length instead (:func:`blas_pinned`): there the spinning helper
-    takes the core the kernel's second thread needs.  The kernel's own
-    thread team is a separate axis (``REPRO_ENGINE_THREADS``) and is
-    left alone.
+    the core the next worker needs.  In-process jobs run their tasks
+    inside one (:func:`~repro.service.scheduler.run_inline`): there the
+    spinning helper takes the core the kernel's second thread needs.
+    The kernel's own thread team is a separate axis
+    (``REPRO_ENGINE_THREADS``) and is left alone.
 
     Exactness: the pool size only decides how OpenBLAS divides a call
     between threads — over independent output blocks and right-hand-side
@@ -368,31 +377,15 @@ def pin_blas_threads() -> None:
     ``tests/test_service.py``, ``tests/test_subtasks.py``) hold fleet
     workers against in-process runs, and ``TestFleetBlasPinned`` holds
     pinned pools against the unpinned test process, all unedited.
-    """
-    for _, set_threads, _ in _loaded_openblas():
-        set_threads(1)
 
-
-#: Open :func:`blas_pinned` blocks, and each pinned copy's count from
-#: before the first of them.
-_pin_depth = 0
-_pinned_from: list[tuple] = []
-
-
-@contextmanager
-def blas_pinned():
-    """Pin every loaded OpenBLAS copy to one thread for a block.
-
-    The service's in-process jobs run inside one (see
-    :func:`pin_blas_threads` for why, and for why it cannot change a
-    result).  Blocks nest and may interleave, as the generators that
-    drive jobs do: the first block to open records each copy's thread
-    count and pins it, and the last to close restores the recorded
-    counts — on completion, failure or cancellation alike.  The thread
-    counts are process state, so, like the job's backend switch, the
-    blocks belong to the one thread that drives in-process jobs; no
-    lock guards them, since a fleet worker forked while another thread
-    held one would inherit it held.
+    Blocks nest and may interleave, as the generators that drive jobs
+    do: the first block to open records each copy's thread count and
+    pins it, and the last to close restores the recorded counts — on
+    completion, failure or cancellation alike.  The thread counts are
+    process state, so the blocks belong to the one thread that drives
+    in-process jobs (the daemon's job threads run nothing inline, so
+    they never open one); no lock guards them, since a fleet worker
+    forked while another thread held one would inherit it held.
     """
     global _pin_depth, _pinned_from
     if _pin_depth == 0:

@@ -245,12 +245,31 @@ class RemoteJobHandle:
         reply = self.client._request({"op": "status", "job_id": self.job_id})
         return JobStatus(reply["status"])
 
-    def events(self) -> list:
-        """The full event log delivered so far (replayed, not live)."""
-        collected = []
-        for event in self._stream(live=False):
-            collected.append(event)
-        return collected
+    def events(self, start: int = 0) -> list:
+        """The events delivered so far, from index ``start`` (the
+        in-process handle's log, never waiting on the job): one status
+        round trip learns how many exist, then exactly that many are
+        read off the replaying stream before hanging up."""
+        available = self.client._request(
+            {"op": "status", "job_id": self.job_id}
+        )["n_events"]
+        events = []
+        if available <= start:
+            return events
+        sock = self.client._connect()
+        try:
+            sock.settimeout(self.client.timeout)
+            send_frame(sock, {
+                "op": "events", "job_id": self.job_id, "start": start,
+            })
+            while len(events) < available - start:
+                frame = recv_frame(sock)
+                if frame is None or "event" not in frame:
+                    break
+                events.append(event_from_wire(frame["event"]))
+        finally:
+            sock.close()
+        return events
 
     def stream(self):
         """Yield :class:`~repro.service.jobs.TaskEvent` records as tasks
@@ -265,9 +284,6 @@ class RemoteJobHandle:
         from the events already delivered (the daemon replays its
         buffer from any index), so a consumer sees every event exactly
         once across any number of reconnects."""
-        return self._stream(live=True)
-
-    def _stream(self, live: bool):
         delivered = 0
         reconnects_left = STREAM_RECONNECTS
         while True:
@@ -297,12 +313,12 @@ class RemoteJobHandle:
                             reconnects_left = STREAM_RECONNECTS  # progress
                             continue
                         end = frame["end"]
-                        if live and end.get("resumable"):
+                        if end.get("resumable"):
                             raise JobInterrupted(
                                 f"job {self.job_id} interrupted by a daemon "
                                 f"drain or shutdown; resubmit it to resume"
                             )
-                        if live and end["status"] == JobStatus.FAILED.value:
+                        if end["status"] == JobStatus.FAILED.value:
                             raise JobFailed(end.get("error") or "job failed")
                         return
                 finally:

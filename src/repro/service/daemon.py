@@ -22,13 +22,15 @@ Architecture
   start (socket accept, one connection handler per client, one runner
   per admitted job).  A worker *respawned* after a crash necessarily
   forks from the threaded daemon (the trade every
-  ``multiprocessing.Pool`` makes); the worker main immediately re-runs
-  the same initialisation, so the replacement is indistinguishable.
+  ``multiprocessing.Pool`` makes); the daemon process never runs a
+  task itself, so what the replacement inherits is the same pristine
+  state.
 * **One fleet, many jobs.**  Every job's tasks go into the fleet's one
   ready pool, tagged with a per-job *ticket* and a
   :class:`~repro.service.scheduler.TaskContext` (backend, store,
-  tenant meter); workers re-initialise whenever the context changes
-  hands, so which worker runs a task still cannot change any report.
+  tenant meter); a worker runs each task inside its own context and
+  restores the process's settings after it, so which worker runs a
+  task — and whose task it ran before — cannot change any report.
   A job's ``n_workers`` bounds how many of its tasks are in flight at
   once (1 serialises the job's cells — which is what makes per-tenant
   metering deterministic), and provisioning sub-lots gate their attack
@@ -61,8 +63,9 @@ Architecture
 
 Execution reuses the service layer wholesale: :class:`_FleetService`
 overrides only *where* tasks run (the persistent fleet instead of a
-fleet private to the job, never inline) and under which tenant meter,
-so the event sequence shape, gating, journaling and result assembly
+fleet private to the job, and never inline — not even work one task
+wide) and the task context (which adds the tenant meter), so the task
+types, event sequence shape, gating, journaling and result assembly
 are the very code paths ``tests/test_service.py`` already holds
 bit-identical — the daemon differential guard in
 ``tests/test_daemon.py`` closes the loop over the wire.
@@ -80,7 +83,7 @@ import socket as socket_module
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from repro.engine import CalibrationStore
@@ -89,8 +92,8 @@ from repro.service.jobs import (
     JobFailed,
     JobStatus,
     ProvisioningJob,
-    TaskEvent,
     default_worker_count,
+    validate_job,
     validate_worker_count,
 )
 from repro.service.protocol import (
@@ -103,12 +106,7 @@ from repro.service.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.service.scheduler import (
-    POLL_SECONDS,
-    TaskContext,
-    WorkerFleet,
-    run_on_fleet,
-)
+from repro.service.scheduler import POLL_SECONDS, TaskContext, WorkerFleet
 from repro.service.service import FoundryService
 from repro.service.tenants import TenantConfig, TenantMeter, TokenBucket
 
@@ -138,29 +136,6 @@ def derive_job_id(tenant: str, job) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExperimentTask:
-    """One experiment-registry entry as a fleet task (the daemon runs
-    experiment jobs on the fleet — the daemon process itself never
-    simulates)."""
-
-    name: str
-    full: bool = False
-    position: int = 0
-
-    def label(self) -> str:
-        return self.name
-
-    def key(self) -> tuple:
-        """Stable identity for retry accounting and charge reservations."""
-        return ("experiment", self.position, self.name)
-
-    def run(self):
-        from repro.experiments.runner import REGISTRY
-
-        return REGISTRY[self.name].execute(full=self.full)
-
-
 class _FleetService(FoundryService):
     """A :class:`FoundryService` whose jobs run on the daemon's
     persistent fleet, under the tenant's meter, and never inline — the
@@ -172,6 +147,9 @@ class _FleetService(FoundryService):
         super().__init__(n_workers=daemon.fleet.n_workers)
         self._daemon = daemon
         self._tenant = tenant
+
+    def _runs_inline(self) -> bool:
+        return False
 
     @contextmanager
     def _fleet(self, n_workers: int):
@@ -186,39 +164,6 @@ class _FleetService(FoundryService):
             max_queries=self._tenant.max_queries,
             max_queries_per_minute=self._tenant.max_queries_per_minute,
         )
-
-    def _campaign_runner(self, job, todo, n_workers, journal):
-        return self._campaign_sharded(job, todo, n_workers, journal), n_workers
-
-    def _provision_runner(self, job, tasks, store):
-        return self._provision_sharded(job, tasks, store)
-
-    def _experiment_events(self, job):
-        from repro.experiments.runner import REGISTRY
-
-        selected = list(REGISTRY)
-        if job.names:
-            selected = [name for name in selected if name in job.names]
-        tasks = [
-            ExperimentTask(name, job.full, position)
-            for position, name in enumerate(selected)
-        ]
-        # max_inflight=1: experiments stream in report order, exactly
-        # like the in-process registry loop.
-        events = run_on_fleet(
-            self._daemon.fleet,
-            self._task_context(job.backend, None),
-            tasks,
-            [],
-            {},
-            max_inflight=1,
-        )
-        results = []
-        for task, payload, seconds in events:
-            results.append(payload)
-            yield TaskEvent("experiment", task.name, task.position, payload,
-                            seconds)
-        return results
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +411,17 @@ class FoundryDaemon:
         known from a previous daemon life — is re-admitted and resumes
         from its journal.
 
-        A genuinely *new* admission debits the tenant's submission-rate
-        bucket (typed :class:`~repro.service.tenants.RateLimited`
-        refusal, nothing persisted or queued); attaching is free, and
-        ``rate_exempt`` skips the debit for the one submission that is
-        not client demand: restart recovery (:meth:`_recover`).  It is
-        an in-process argument only — no frame can set it.
+        The job is validated first: a malformed one is refused (its
+        ``ValueError``/``KeyError``/``TypeError``) before it costs a
+        submission token or leaves a job directory.  A genuinely *new*
+        admission debits the tenant's submission-rate bucket (typed
+        :class:`~repro.service.tenants.RateLimited` refusal, nothing
+        persisted or queued); attaching is free, and ``rate_exempt``
+        skips the debit for the one submission that is not client
+        demand: restart recovery (:meth:`_recover`).  It is an
+        in-process argument only — no frame can set it.
         """
+        validate_job(job)
         tenant = self.tenant(tenant_name or "default")
         with self._lock:
             if self._draining:

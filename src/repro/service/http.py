@@ -63,12 +63,6 @@ from repro.service.jobs import (
     JournalMismatch,
     validate_worker_count,
 )
-from repro.service.protocol import (
-    connect,
-    event_from_wire,
-    recv_frame,
-    send_frame,
-)
 from repro.service.tenants import QueryBudgetExceeded, RateLimited
 
 #: Refuse request bodies beyond this size (a facade for untrusted
@@ -476,10 +470,11 @@ class _HTTPHandler(BaseHTTPRequestHandler):
         })
 
     def _get_events(self, job_id: str, query) -> None:
-        """Poll events from ``start``: a *bounded* read of the event
-        stream — status first to learn how many events exist, then read
-        exactly that many off the replaying stream and hang up.  No
-        long-poll: an untrusted client gets an answer and comes back."""
+        """Poll events from ``start``: a *bounded* read
+        (:meth:`~repro.service.client.RemoteJobHandle.events`), never a
+        long-poll — an untrusted client gets an answer and comes back.
+        The status is read first, so a terminal status comes with every
+        event the job will ever have."""
         try:
             start = int(query.get("start", "0"))
         except ValueError:
@@ -487,30 +482,11 @@ class _HTTPHandler(BaseHTTPRequestHandler):
         _require(start >= 0, "start must be >= 0")
         client = self._client()
         status = client._request({"op": "status", "job_id": job_id})
-        available = int(status["n_events"])
-        events = []
-        if available > start:
-            sock = None
-            try:
-                sock = connect(client.address, timeout=client.timeout)
-                sock.settimeout(client.timeout)
-                send_frame(sock, {
-                    "op": "events", "job_id": job_id, "start": start,
-                })
-                while len(events) < available - start:
-                    frame = recv_frame(sock)
-                    if frame is None or "event" not in frame:
-                        break
-                    events.append(event_to_json(
-                        event_from_wire(frame["event"])
-                    ))
-            finally:
-                if sock is not None:
-                    sock.close()
+        events = client.handle(job_id).events(start)
         self._reply(200, {
             "job_id": job_id,
             "start": start,
-            "events": events,
+            "events": [event_to_json(event) for event in events],
             "next": start + len(events),
             "status": status["status"],
         })

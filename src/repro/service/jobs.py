@@ -266,7 +266,11 @@ class CampaignJob:
     journal: str | None = None
 
     def validate(self) -> None:
-        """Reject malformed jobs up front, before any work happens."""
+        """Reject malformed jobs up front, before any work happens:
+        every attack name and parameter set must resolve, and every
+        cell name a known die and standard."""
+        from repro.campaigns.attacks import make_attack
+
         if self.n_workers is not None:
             validate_worker_count(self.n_workers)
         validate_backend(self.backend)
@@ -274,6 +278,9 @@ class CampaignJob:
             s = cell.scenario
             validate_triple((s.chip.lot_seed, s.chip.chip_id,
                              s.standard_index), f"cell {i} die and standard")
+        for attack, params in {(c.attack, c.attack_params)
+                               for c in self.cells}:
+            make_attack(attack, **dict(params))
 
 
 @dataclass(frozen=True)
@@ -327,3 +334,14 @@ class ExperimentJob:
                     f"unknown experiment(s) {sorted(unknown)}; "
                     f"known: {sorted(REGISTRY)}"
                 )
+
+
+def validate_job(job) -> None:
+    """Reject an unknown job type, or a malformed job, up front —
+    before any work happens or any submission cost is paid."""
+    if not isinstance(job, (CampaignJob, ProvisioningJob, ExperimentJob)):
+        raise TypeError(
+            f"unknown job type {type(job).__name__}; submit a "
+            f"CampaignJob, ProvisioningJob or ExperimentJob"
+        )
+    job.validate()

@@ -10,7 +10,7 @@ fleets therefore pack tightly (the dominant cell occupies one worker
 while the others drain the rest), and provisioning overlaps the attack
 phase instead of preceding it.
 
-Two pieces, one of each:
+Three pieces, one of each:
 
 * :class:`WorkerFleet` — a supervised worker team whose router thread
   is the only dispatch/sweep loop.  An in-process sharded job runs on
@@ -20,6 +20,12 @@ Two pieces, one of each:
 * :func:`run_on_fleet` — the only gating loop: it feeds one job's
   tasks to a fleet, gates cells on their provisioning triples, and
   absorbs/assembles partitioned cells.
+* :func:`run_inline` — the same ``(task, payload, seconds)`` stream
+  for work one task wide, run in the calling process, in order.
+
+Each task runs inside its job's :class:`TaskContext`
+(:meth:`TaskContext.applied`), on a worker or inline, so no job's
+backend, store or tenant meter reaches another job's task.
 
 Supervision: each worker is connected to the parent by its own duplex
 pipe, so the router always knows exactly which task each worker holds
@@ -72,9 +78,13 @@ import threading
 import time
 import traceback
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro import faults
+from repro.attacks.oracle import current_tenant_meter, install_tenant_meter
+from repro.engine import CalibrationStore, get_default_engine, set_default_backend
+from repro.engine.native import blas_pinned
 from repro.service.jobs import (
     JobFailed,
     TaskRetriesExhausted,
@@ -111,7 +121,6 @@ class ProvisionTask:
 
     def run(self):
         from repro.campaigns.campaign import provision_fleet
-        from repro.engine import get_default_engine
 
         provision_fleet(self.triples, get_default_engine().calibration_store)
         return self.triples
@@ -183,12 +192,32 @@ class AssembleTask(CellTask):
 
 
 @dataclass(frozen=True)
+class ExperimentTask:
+    """Run one experiment-registry entry (in process, or on a fleet
+    worker: the daemon process itself never simulates)."""
+
+    name: str
+    full: bool = False
+    position: int = 0
+
+    def label(self) -> str:
+        return self.name
+
+    def key(self) -> tuple:
+        """Stable identity for retry accounting and charge reservations."""
+        return ("experiment", self.position, self.name)
+
+    def run(self):
+        from repro.experiments.runner import REGISTRY
+
+        return REGISTRY[self.name].execute(full=self.full)
+
+
+@dataclass(frozen=True)
 class TaskContext:
-    """Everything a fleet worker must (re-)initialise to run a task:
-    the job's backend and shared store (the campaign layer's
-    ``_worker_init`` arguments) plus the tenant's meter, which only
-    daemon jobs carry.  Workers re-init only when the context changes
-    hands, so consecutive tasks of one job pay it once."""
+    """What a task runs under: the job's engine backend and shared
+    calibration store, plus the tenant's meter, which only daemon jobs
+    carry.  A field left None keeps the process's setting."""
 
     backend: str | None = None
     store_path: str | None = None
@@ -210,6 +239,36 @@ class TaskContext:
             tenant=self.tenant,
             max_per_minute=self.max_queries_per_minute,
         )
+
+    @contextmanager
+    def applied(self):
+        """Set the default engine's backend and calibration store and
+        install the tenant meter, each only when this context names
+        one, for one block; restore all three on exit, and yield the
+        meter (or None).
+
+        Fleet workers and :func:`run_inline` enter it around each task,
+        never across a yield, so no job's setting reaches another job's
+        task.  The backends are bit-exact and the store holds
+        deterministic values, so where they are set cannot change a
+        result — only which job pays for the reference loop.
+        """
+        engine = get_default_engine()
+        backend, store = engine.backend, engine.calibration_store
+        previous_meter = current_tenant_meter()
+        meter = self.meter()
+        try:
+            if self.backend is not None:
+                set_default_backend(self.backend)
+            if self.store_path is not None:
+                engine.calibration_store = CalibrationStore(self.store_path)
+            if meter is not None:
+                install_tenant_meter(meter)
+            yield meter
+        finally:
+            engine.backend = backend
+            engine.calibration_store = store
+            install_tenant_meter(previous_meter)
 
 
 # ---------------------------------------------------------------------------
@@ -277,51 +336,41 @@ def run_task(task):
 def _fleet_worker_main(conn, heartbeat) -> None:
     """One fleet worker: receive ``(ticket, context, task, task_id)``
     items on its private duplex pipe until the sentinel (or the
-    parent's end of the pipe closing), re-initialising on context
-    changes.
+    parent's end of the pipe closing), running each task inside its
+    context (:meth:`TaskContext.applied`).
 
-    A worker first pins its OpenBLAS pools to one thread
-    (:func:`~repro.engine.native.pin_blas_threads`): the fleet already
+    A worker pins its OpenBLAS pools to one thread for its whole life
+    (:func:`~repro.engine.native.blas_pinned`): the fleet already
     covers the cores.
 
-    Initialisation is the campaign layer's ``_worker_init`` (a pristine
-    private engine of the job's backend, reading through the job's
-    shared calibration store) plus the tenant meter install, so reports
-    cannot depend on which worker — or which *attempt*, or whose fleet
-    — ran a task.  Before a metered task runs, its charge reservation
-    opens under ``task_id`` (see
+    What a task runs under is its own context, never what the previous
+    task set, so reports cannot depend on which worker — or which
+    *attempt*, or whose fleet — ran a task.  The engine's caches
+    outlive a task; they hold deterministic values (the calibration
+    LRU is bounded).  Before a metered task runs, its charge
+    reservation opens under ``task_id`` (see
     :meth:`~repro.service.tenants.TenantMeter.begin_task`); the
     *parent* settles it — commit on the result, rollback before a
     retry — because the parent is the only survivor of every crash
     schedule.
     """
-    from repro.attacks.oracle import install_tenant_meter
-    from repro.campaigns.campaign import _worker_init
-    from repro.engine.native import pin_blas_threads
-
-    pin_blas_threads()
-    start_heartbeat(heartbeat)
-    current = None
-    meter = None
-    while True:
-        try:
-            item = conn.recv()
-        except (EOFError, OSError):
-            return
-        if item is None:
-            return
-        ticket, context, task, task_id = item
-        if context != current:
-            _worker_init(context.backend, context.store_path)
-            meter = context.meter()
-            install_tenant_meter(meter)
-            current = context
-        if meter is not None:
-            meter.begin_task(task_id)
-        kind, task, payload, seconds, error = run_task(task)
-        conn.send((ticket, kind, task, payload, seconds, error))
-        if faults.ENABLED and faults.fire("worker.torn_conn"):
-            faults.tear_connection(conn)
+    with blas_pinned():
+        start_heartbeat(heartbeat)
+        while True:
+            try:
+                item = conn.recv()
+            except (EOFError, OSError):
+                return
+            if item is None:
+                return
+            ticket, context, task, task_id = item
+            with context.applied() as meter:
+                if meter is not None:
+                    meter.begin_task(task_id)
+                kind, task, payload, seconds, error = run_task(task)
+            conn.send((ticket, kind, task, payload, seconds, error))
+            if faults.ENABLED and faults.fire("worker.torn_conn"):
+                faults.tear_connection(conn)
 
 
 # ---------------------------------------------------------------------------
@@ -716,11 +765,12 @@ def run_on_fleet(fleet: WorkerFleet, context: TaskContext, cell_tasks,
     replay; sub-task completions are never yielded.
 
     ``max_inflight`` bounds this job's concurrently-dispatched tasks
-    (the job's ``n_workers``), which both shares a daemon's fleet
-    fairly between concurrent jobs and makes a 1-worker job's cells
-    execute strictly sequentially — the property per-tenant quota
-    determinism rides on.  A task that *raises* fails the job at once
-    (tasks are pure functions: it would raise again on retry).
+    (the job's ``n_workers``, capped at its task count), which both
+    shares a daemon's fleet fairly between concurrent jobs and makes a
+    1-worker job's cells execute strictly sequentially — the property
+    per-tenant quota determinism rides on.  A task that *raises* fails
+    the job at once (tasks are pure functions: it would raise again on
+    retry).
     """
     partitions = dict(partitions or {})
     blocked = {
@@ -797,3 +847,23 @@ def run_on_fleet(fleet: WorkerFleet, context: TaskContext, cell_tasks,
             yield task, payload, seconds
     finally:
         fleet.close_ticket(ticket)
+
+
+def run_inline(context: TaskContext, tasks):
+    """Run ``tasks`` in this process, in order, yielding ``(task,
+    payload, seconds)`` as :func:`run_on_fleet` does.
+
+    Each task runs inside ``context.applied()``, which wraps the task
+    and never a yield, so a job interleaved with another, nesting one
+    or cancelled between tasks leaves the process's settings as it
+    found them.  Every loaded OpenBLAS copy is pinned to one thread
+    for the run (:func:`~repro.engine.native.blas_pinned`).  A task
+    that raises propagates: the job fails.
+    """
+    with blas_pinned():
+        for task in tasks:
+            with context.applied():
+                start = time.perf_counter()
+                payload = task.run()
+                seconds = time.perf_counter() - start
+            yield task, payload, seconds

@@ -17,18 +17,21 @@ starts) and returns a :class:`JobHandle`:
 * ``handle.cancel()`` — stop scheduling, reap the job's workers, keep
   everything already journaled.
 
-The handle's consumer drives the job.  A job with one worker runs
-in-process — the ground truth every differential compares against —
-with every loaded OpenBLAS copy pinned to one thread for its length
-(:func:`~repro.engine.native.blas_pinned`); a
-sharded job runs on a :class:`~repro.service.scheduler.WorkerFleet`
-private to the job, whose workers fork before its router thread
-starts, so the initial team forks from a single-threaded parent — the
-same fork-safety argument as the engine kernel's per-call thread
-teams.  A worker respawned after a crash forks from the router thread
-(the trade the daemon's persistent fleet makes too, and every
-``multiprocessing.Pool``); the worker immediately re-runs the same
-initialisation.  Campaign reports are bit-identical to a sequential
+The handle's consumer drives the job.  Work one task wide (one
+worker, one unpartitioned cell, one provisioning sub-lot, the
+experiment registry) runs in-process — the ground truth every
+differential compares against — through
+:func:`~repro.service.scheduler.run_inline`; the rest runs on a
+:class:`~repro.service.scheduler.WorkerFleet` private to the job,
+whose workers fork before its router thread starts, so the initial
+team forks from a single-threaded parent — the same fork-safety
+argument as the engine kernel's per-call thread teams.  A worker
+respawned after a crash forks from the router thread (the trade the
+daemon's persistent fleet makes too, and every
+``multiprocessing.Pool``).  Either way each task runs under its job's
+:class:`~repro.service.scheduler.TaskContext`, set for that task only,
+so in-process jobs that interleave or nest never see each other's
+backend or store.  Campaign reports are bit-identical to a sequential
 run whatever the worker count or backend (cells rebuild their chips
 and seed their own RNGs; calibrations are deterministic values read
 through the shared store), and a campaign with a journal resumes from
@@ -41,27 +44,28 @@ from __future__ import annotations
 import shutil
 import tempfile
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
-from repro.engine import CalibrationStore, get_default_engine, set_default_backend
-from repro.engine.native import blas_pinned
+from repro.engine import CalibrationStore, get_default_engine
 from repro.service.jobs import (
     CampaignJob,
-    ExperimentJob,
     JobCancelled,
     JobFailed,
     JobStatus,
     ProvisioningJob,
     TaskEvent,
     default_worker_count,
+    validate_job,
     validate_worker_count,
 )
 from repro.service.journal import JobJournal, cells_fingerprint
 from repro.service.scheduler import (
     CellTask,
+    ExperimentTask,
     ProvisionTask,
     TaskContext,
     WorkerFleet,
+    run_inline,
     run_on_fleet,
 )
 
@@ -289,19 +293,14 @@ class FoundryService:
         Execution is driven by the handle's consumer — iterate
         ``stream()`` or call ``result()``.
         """
+        validate_job(job)
         if isinstance(job, CampaignJob):
-            prepare = self._prepare_campaign
+            executor = self._prepare_campaign(job)
         elif isinstance(job, ProvisioningJob):
-            prepare = self._prepare_provisioning
-        elif isinstance(job, ExperimentJob):
-            prepare = self._prepare_experiments
+            n_workers = self._resolve_workers(job.n_workers)
+            executor = lambda: self._provisioning_events(job, n_workers)
         else:
-            raise TypeError(
-                f"unknown job type {type(job).__name__}; submit a "
-                f"CampaignJob, ProvisioningJob or ExperimentJob"
-            )
-        job.validate()
-        executor = prepare(job)
+            executor = lambda: self._experiment_events(job)
         return JobHandle(job, executor)
 
     def _resolve_workers(self, job_workers: int | None) -> int:
@@ -312,6 +311,12 @@ class FoundryService:
         return default_worker_count()
 
     # -- execution hooks --------------------------------------------------
+
+    def _runs_inline(self) -> bool:
+        """Whether work one task wide runs in this process.  The
+        daemon's service answers False: the daemon process never
+        simulates."""
+        return True
 
     @contextmanager
     def _fleet(self, n_workers: int):
@@ -327,21 +332,33 @@ class FoundryService:
             fleet.shutdown()
 
     def _task_context(self, backend, store_path) -> TaskContext:
-        """What a worker initialises to run this service's tasks (the
-        daemon's service adds the tenant meter)."""
+        """What this service's tasks run under (the daemon's service
+        adds the tenant meter)."""
         return TaskContext(backend=backend, store_path=store_path)
+
+    def _run_tasks(self, context, width, cell_tasks, provision_tasks=(),
+                   cell_triples=None, partitions=None):
+        """Run one job's tasks, yielding ``(task, payload, seconds)``.
+
+        Work one task wide (``width`` 1) runs in this process, in
+        order, when this service runs inline (:func:`run_inline`); the
+        rest runs on ``self._fleet(width)`` through
+        :func:`run_on_fleet`, at most ``width`` tasks in flight.
+        """
+        if width == 1 and self._runs_inline():
+            yield from run_inline(context, [*provision_tasks, *cell_tasks])
+            return
+        with self._fleet(width) as fleet:
+            yield from run_on_fleet(
+                fleet, context, cell_tasks, provision_tasks,
+                cell_triples or {}, max_inflight=width, partitions=partitions,
+            )
 
     # -- campaign jobs ----------------------------------------------------
 
     def _prepare_campaign(self, job: CampaignJob):
-        from repro.campaigns.attacks import make_attack
-
         cells = list(job.cells)
         n_workers = self._resolve_workers(job.n_workers)
-        # Up-front validation: every attack name must resolve before
-        # any cell (or worker fork) runs.
-        for attack, params in {(c.attack, c.attack_params) for c in cells}:
-            make_attack(attack, **dict(params))
         journal = None
         if job.journal is not None:
             journal = JobJournal(job.journal)
@@ -363,73 +380,46 @@ class FoundryService:
             timings[index] = seconds
             yield TaskEvent("replay", label, index, report, seconds)
         todo = [(i, cell) for i, cell in enumerate(cells) if i not in replayed]
-        runner, reported_workers = self._campaign_runner(
-            job, todo, n_workers, journal
-        )
-        for event in runner:
-            if event.kind == "cell":
-                reports[event.index] = event.payload
-                timings[event.index] = event.seconds
-            yield event
-        return CampaignResult(
-            reports=[reports[i] for i in range(len(cells))],
-            cell_seconds=[timings[i] for i in range(len(cells))],
-            n_workers=reported_workers,
-            backend=resolved_backend,
-        )
-
-    def _campaign_runner(self, job, todo, n_workers, journal):
-        """Choose how the remaining cells execute: ``(runner,
-        reported_workers)``.
-
-        Small jobs run in-process (the ground-truth path); the rest
-        shard over a fleet.  The daemon's service overrides this to
-        shard everything on its persistent fleet.  Either way the
-        runner yields the same :class:`TaskEvent` sequence shape, which
-        is why reports are bit-identical across execution modes.
-        """
-        if n_workers == 1:
-            return self._campaign_inline(job, todo, journal), 1
-        if len(todo) <= 1 and not plan_cell_partitions(todo):
-            # A single scalar cell gains nothing from workers — but a
-            # single *partitioned* cell is exactly the dominant-cell
-            # case sub-task scheduling exists for, so it still shards.
-            return self._campaign_inline(job, todo, journal), 1
-        return self._campaign_sharded(job, todo, n_workers, journal), n_workers
-
-    def _campaign_inline(self, job, todo, journal):
-        """In-process execution, cell order — the ground truth every
-        other mode is differentially held against."""
-        engine = get_default_engine()
-        previous_backend = engine.backend
-        previous_store = engine.calibration_store
-        store_dir = job.calibration_store or (
-            journal.calibration_store_path() if journal else None
-        )
-        if job.backend is not None:
-            set_default_backend(job.backend)
-        if store_dir is not None:
-            engine.calibration_store = CalibrationStore(store_dir)
-        try:
-            with blas_pinned():
-                for index, cell in todo:
-                    start = time.perf_counter()
-                    report = cell.execute()
-                    seconds = time.perf_counter() - start
-                    if journal is not None:
-                        journal.put_cell(index, cell.label(), report, seconds)
-                    yield TaskEvent("cell", cell.label(), index, report,
-                                    seconds)
-        finally:
-            engine.backend = previous_backend
-            engine.calibration_store = previous_store
-
-    def _campaign_sharded(self, job, todo, n_workers, journal):
-        """Fleet execution: provisioning sub-lots gate their cells, and
-        partitioned cells fan out as sub-tasks."""
         store_path = job.calibration_store or (
             journal.calibration_store_path() if journal else None
         )
+        # A single scalar cell gains nothing from workers — but a single
+        # *partitioned* cell is exactly the dominant-cell case sub-task
+        # scheduling exists for, so it still shards.
+        if self._runs_inline() and (
+            n_workers == 1
+            or (len(todo) <= 1 and not plan_cell_partitions(todo))
+        ):
+            n_workers = 1
+            events = self._run_tasks(
+                self._task_context(job.backend, store_path), 1,
+                [CellTask(index, cell) for index, cell in todo],
+            )
+        else:
+            events = self._campaign_sharded(job, todo, n_workers, store_path)
+        # Journal each finished cell the moment its result lands.
+        for task, payload, seconds in events:
+            if isinstance(task, ProvisionTask):
+                yield TaskEvent("provision", task.label(), None, payload,
+                                seconds)
+                continue
+            if journal is not None:
+                journal.put_cell(task.index, task.label(), payload, seconds)
+            reports[task.index] = payload
+            timings[task.index] = seconds
+            yield TaskEvent("cell", task.label(), task.index, payload,
+                            seconds)
+        return CampaignResult(
+            reports=[reports[i] for i in range(len(cells))],
+            cell_seconds=[timings[i] for i in range(len(cells))],
+            n_workers=n_workers,
+            backend=resolved_backend,
+        )
+
+    def _campaign_sharded(self, job, todo, n_workers, store_path):
+        """Fleet execution: provisioning sub-lots gate their cells, and
+        partitioned cells fan out as sub-tasks.  A job naming no store
+        shares a temporary one, removed when the job ends."""
         own_tmp = store_path is None
         if own_tmp:
             store_path = tempfile.mkdtemp(prefix="repro-calstore-")
@@ -443,38 +433,20 @@ class FoundryService:
             n_units = len(cell_tasks) + len(provision_tasks)
             if partitions:
                 n_units = max(n_units, n_workers)
-            with self._fleet(max(1, min(n_workers, n_units))) as fleet:
-                events = run_on_fleet(
-                    fleet,
-                    self._task_context(job.backend, store_path),
-                    cell_tasks,
-                    provision_tasks,
-                    cell_triples,
-                    max_inflight=n_workers,
-                    partitions=partitions,
-                )
-                # Journal each finished cell the moment its result lands.
-                for task, payload, seconds in events:
-                    if isinstance(task, ProvisionTask):
-                        yield TaskEvent("provision", task.label(), None,
-                                        payload, seconds)
-                        continue
-                    if journal is not None:
-                        journal.put_cell(task.index, task.label(), payload,
-                                         seconds)
-                    yield TaskEvent("cell", task.label(), task.index,
-                                    payload, seconds)
+            yield from self._run_tasks(
+                self._task_context(job.backend, store_path),
+                max(1, min(n_workers, n_units)),
+                cell_tasks, provision_tasks, cell_triples, partitions,
+            )
         finally:
             if own_tmp:
                 shutil.rmtree(store_path, ignore_errors=True)
 
     # -- provisioning jobs ------------------------------------------------
 
-    def _prepare_provisioning(self, job: ProvisioningJob):
-        n_workers = self._resolve_workers(job.n_workers)
-        return lambda: self._provisioning_events(job, n_workers)
-
     def _provisioning_events(self, job, n_workers):
+        """One ``"provision"`` event per sub-lot: one sub-lot runs
+        in-process as one lockstep pass, more run on a fleet."""
         store = CalibrationStore(job.calibration_store)
         triples = sorted({tuple(t) for t in job.triples})
         missing = [
@@ -483,76 +455,45 @@ class FoundryService:
         ]
         if not missing:
             return 0
-        yield from self._provision_runner(
-            job, provisioning_tasks(missing, n_workers), store
+        tasks = provisioning_tasks(missing, n_workers)
+        events = self._run_tasks(
+            self._task_context(job.backend, str(store.path)), len(tasks),
+            [], tasks,
         )
+        for task, payload, seconds in events:
+            yield TaskEvent("provision", task.label(), None, payload, seconds)
         return len(missing)
-
-    def _provision_runner(self, job, tasks, store):
-        """Run the sub-lots, one ``"provision"`` event each: one
-        in-process as one lockstep pass, more on a fleet private to the
-        job (the daemon's service overrides this to run every sub-lot
-        on its persistent fleet)."""
-        from repro.campaigns.campaign import provision_fleet
-
-        if len(tasks) > 1:
-            yield from self._provision_sharded(job, tasks, store)
-            return
-        (task,) = tasks
-        start = time.perf_counter()
-        with blas_pinned():
-            provision_fleet(task.triples, store, backend=job.backend)
-        yield TaskEvent("provision", task.label(), None, task.triples,
-                        time.perf_counter() - start)
-
-    def _provision_sharded(self, job, tasks, store):
-        with self._fleet(len(tasks)) as fleet:
-            events = run_on_fleet(
-                fleet,
-                self._task_context(job.backend, str(store.path)),
-                [],
-                tasks,
-                {},
-                max_inflight=len(tasks),
-            )
-            for task, payload, seconds in events:
-                yield TaskEvent("provision", task.label(), None, payload,
-                                seconds)
 
     # -- experiment jobs --------------------------------------------------
 
-    def _prepare_experiments(self, job: ExperimentJob):
-        return lambda: self._experiment_events(job)
-
     def _experiment_events(self, job):
-        """Run the registry in-process, with one measurement memo for
-        the whole run: Figs. 7-12 and the attack-cost table measure one
-        die against one key population, and each measurement is then
-        simulated once (see
+        """Run the selected registry entries in report order, one task
+        each.  An in-process run shares one measurement memo: Figs.
+        7-12 and the attack-cost table measure one die against one key
+        population, and each measurement is then simulated once (see
         :func:`~repro.receiver.performance.measure_modulator_snr_batch`).
         A nested or interleaved job shares the open memo
         (:meth:`~repro.engine.SimulationEngine.memoising`)."""
         from repro.experiments.runner import REGISTRY
 
-        engine = get_default_engine()
-        previous_backend = engine.backend
-        if job.backend is not None:
-            set_default_backend(job.backend)
-        try:
-            selected = list(REGISTRY.values())
-            if job.names:
-                selected = [
-                    spec for spec in selected if spec.name in job.names
-                ]
-            results = []
-            with engine.memoising(), blas_pinned():
-                for position, spec in enumerate(selected):
-                    start = time.perf_counter()
-                    result = spec.execute(full=job.full)
-                    seconds = time.perf_counter() - start
-                    results.append(result)
-                    yield TaskEvent("experiment", spec.name, position,
-                                    result, seconds)
-            return results
-        finally:
-            engine.backend = previous_backend
+        names = [name for name in REGISTRY
+                 if not job.names or name in job.names]
+        tasks = [
+            ExperimentTask(name, job.full, position)
+            for position, name in enumerate(names)
+        ]
+        # One task wide: experiments stream in report order.
+        events = self._run_tasks(
+            self._task_context(job.backend, None), 1, tasks
+        )
+        memo = (
+            get_default_engine().memoising() if self._runs_inline()
+            else nullcontext()
+        )
+        results = []
+        with memo:
+            for task, payload, seconds in events:
+                results.append(payload)
+                yield TaskEvent("experiment", task.name, task.position,
+                                payload, seconds)
+        return results

@@ -12,6 +12,7 @@ import socket as socket_module
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import uuid
 
@@ -576,6 +577,45 @@ class TestDaemonLifecycle:
             assert a == b
         late = list(client.handle(handle.job_id).stream())
         assert late == [a for a, _ in interleaved]
+
+    def test_events_returns_the_delivered_events_mid_job(
+        self, daemon_factory
+    ):
+        """``RemoteJobHandle.events()`` answers with the events delivered
+        so far while the job runs, as the in-process handle does.  The
+        job is pinned mid-flight: the one worker freezes on its second
+        task (``task.hang``), and only the test's kill releases it."""
+        from repro import faults
+
+        standing = faults.active()  # restore any suite-wide chaos plan
+        faults.install(faults.parse_spec("task.hang:at=2"))
+        try:
+            daemon = daemon_factory("events", n_workers=1)
+        finally:
+            faults.install(standing)
+        client = DaemonClient(socket=daemon.address)
+        handle = client.submit(CampaignJob(cells=oracle_cells(3),
+                                           n_workers=1))
+        deadline = time.monotonic() + 120
+        while client.jobs()["jobs"][handle.job_id]["n_events"] < 1:
+            assert time.monotonic() < deadline, "first cell never finished"
+            time.sleep(0.05)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(handle.events()), daemon=True
+        )
+        reader.start()
+        reader.join(timeout=30)
+        try:
+            assert not reader.is_alive(), "events() waited for the job"
+            (events,) = got
+            assert [(e.kind, e.index) for e in events] == [("cell", 0)]
+            assert handle.events(start=1) == []
+            assert handle.status() is JobStatus.RUNNING
+        finally:
+            for proc in daemon.fleet.workers:
+                proc.kill()  # the fleet respawns it and retries the cell
+        assert len(handle.result(timeout=600).reports) == 3
 
     def test_inprocess_wait_and_result_timeout(self):
         """Satellite on the in-process handle: wait(timeout)/

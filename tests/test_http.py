@@ -245,6 +245,35 @@ class TestSubmitRateOverWire:
         client.submit(refused).result(timeout=600)
         first.result(timeout=600)
 
+    def test_malformed_submission_spends_nothing(self, daemon_factory):
+        """A frame submission refused as malformed is refused before it
+        costs a submission token or leaves a job directory."""
+        daemon = daemon_factory(
+            "malformed",
+            tenants=[TenantConfig("acme", max_submits_per_minute=2.0)],
+        )
+        daemon.clock = FakeClock()
+        client = DaemonClient(socket=daemon.address, tenant="acme")
+        bucket = daemon.submit_bucket(daemon.tenant("acme"))
+
+        def job_dirs():
+            root = daemon.jobs_root()
+            return sorted(root.iterdir()) if root.is_dir() else []
+
+        with pytest.raises(ValueError, match="bogus"):
+            client.submit(CampaignJob(cells=oracle_cells(1), n_workers=1,
+                                      backend="bogus"))
+        with pytest.raises(KeyError, match="zero-day"):
+            client.submit(CampaignJob(
+                cells=(CampaignCell("zero-day", ThreatScenario()),),
+                n_workers=1,
+            ))
+        assert bucket.level() == 2.0
+        assert job_dirs() == []
+        client.submit(
+            CampaignJob(cells=oracle_cells(1), n_workers=1)
+        ).result(timeout=600)
+
     def test_unlimited_tenant_never_rate_refused(self, daemon_factory):
         daemon = daemon_factory("free")
         client = DaemonClient(socket=daemon.address, tenant="free")

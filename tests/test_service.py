@@ -425,6 +425,94 @@ class TestFleetBlasPinned:
         assert tank == tank_discretisation_bytes()
 
 
+class EngineProbeTask:
+    """A fleet task that reports the backend and calibration-store
+    directory its worker's default engine runs with."""
+
+    def label(self) -> str:
+        return "engine-probe"
+
+    def key(self) -> tuple:
+        return ("engine-probe",)
+
+    def run(self):
+        engine = get_default_engine()
+        store = engine.calibration_store
+        return engine.backend, None if store is None else str(store.path)
+
+
+class TestTaskContextScope:
+    """A task's backend and store apply to that task only: neither a
+    fleet worker nor an interleaved in-process job carries one job's
+    settings into another job's task."""
+
+    def test_fleet_worker_forgets_the_previous_tasks_context(
+        self, tmp_path
+    ):
+        from repro.service.scheduler import (
+            TaskContext,
+            WorkerFleet,
+            run_on_fleet,
+        )
+
+        first = get_default_engine().backend
+        other = "vectorized" if first == "reference" else "reference"
+        store = str(tmp_path / "store")
+        fleet = WorkerFleet(1)
+        fleet.start()
+        try:
+            readings = []
+            for context in (
+                TaskContext(),
+                TaskContext(backend=other, store_path=store),
+                TaskContext(),
+            ):
+                (_, reading, _), = run_on_fleet(
+                    fleet, context, [EngineProbeTask()], [], {},
+                    max_inflight=1,
+                )
+                readings.append(reading)
+        finally:
+            fleet.shutdown()
+        assert readings[1] == (other, store)
+        assert readings[2] == readings[0]
+
+    def test_interleaved_campaigns_keep_their_own_context(
+        self, monkeypatch, tmp_path
+    ):
+        engine = get_default_engine()
+        backend, store = engine.backend, engine.calibration_store
+        other = "vectorized" if backend == "reference" else "reference"
+        seen = []
+
+        def probe(cell):
+            seen.append((cell.scenario.seed, *EngineProbeTask().run()))
+            return cell.scenario.seed
+
+        monkeypatch.setattr(CampaignCell, "execute", probe)
+        base = ThreatScenario(budget=6, n_fft=1024)
+
+        def submit(seeds, job_backend, name):
+            return FoundryService().submit(CampaignJob(
+                cells=tuple(CampaignCell("brute-force", base.with_(seed=s))
+                            for s in seeds),
+                n_workers=1, backend=job_backend,
+                calibration_store=str(tmp_path / name),
+            ))
+
+        first = submit((0, 1), other, "a").stream()
+        second = submit((10, 11), backend, "b").stream()
+        next(first)
+        next(second)
+        list(first)
+        list(second)
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert seen == [(0, other, a), (10, backend, b),
+                        (1, other, a), (11, backend, b)]
+        assert engine.backend == backend
+        assert engine.calibration_store is store
+
+
 class TestInProcessJobsPinBlas:
     """An in-process job runs with every loaded OpenBLAS copy on one
     thread, and each copy gets its previous count back whether the job
@@ -754,7 +842,9 @@ class TestExperimentBackendRestored:
             ExperimentJob(names=("tab-attack", "tab-keys"), backend=other)
         )
         next(iter(handle.stream()))
-        assert get_default_engine().backend == other
+        # The backend applies around each task only; the memo spans
+        # the job.
+        assert get_default_engine().backend == previous
         assert get_default_engine().measurement_memo
         assert handle.cancel() is True
         assert get_default_engine().backend == previous
