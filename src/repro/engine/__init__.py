@@ -129,13 +129,13 @@ the input current ``gm_vlin * shape + i_noise`` itself (Gmin-off keys
 carry ``0.0`` and one process-wide zeros record), so the per-key
 hand-off scales with the distinct records, not with keys times record
 length — bit for bit, by the argument in :mod:`repro.engine.plan`.  One
-level up, an in-process ``ExperimentJob`` attaches a job-scoped
-``measurement_memo`` of finished modulator-SNR measurements, keyed by
-die content, key, standard, power, record length, seed and substeps
-(see :func:`~repro.receiver.performance.measure_modulator_snr_batch`);
-it exists only while such a job is open
-(:meth:`SimulationEngine.memoising`).  All of these are deterministic
-value caches — hitting them cannot change any result.
+level up, an in-process job run keeps a ``measurement_memo`` of
+finished modulator-SNR measurements, keyed by die content, key,
+standard, power, record length, seed and substeps (see
+:func:`~repro.receiver.performance.measure_modulator_snr_batch`), and
+attaches it to the default engine around each of its tasks only
+(:meth:`~repro.service.scheduler.TaskContext.applied`).  All of these
+are deterministic value caches — hitting them cannot change any result.
 ``clear_caches()`` (engine method and module-level hook for the default
 engine) empties the persistent ones for tests and long-running sweeps.
 

@@ -87,8 +87,8 @@ Per-batch teams are also what keeps ``fork()`` safe (the service's
 worker fleets fork): no threading runtime state outlives a
 start/finish pair, where a forked child of an OpenMP parent would
 deadlock in the orphaned runtime — which is why this is pthreads and
-not OpenMP.  A fleet worker pins its OpenBLAS pools to one thread for
-its life (:func:`blas_pinned`).  Fork safety
+not OpenMP.  Every task runs with its OpenBLAS pools pinned to one
+thread (:func:`blas_pinned`).  Fork safety
 holds per pair: a fork between a start and its finish would copy a
 handle whose helpers the child does not have.  No caller forks inside
 a pair: ``run_multi`` closes its pairs before returning, and
@@ -128,6 +128,7 @@ from __future__ import annotations
 
 import array
 import ctypes
+import functools
 import hashlib
 import operator
 import os
@@ -305,12 +306,16 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 
 
+@functools.cache
 def _loaded_openblas() -> list[tuple]:
-    """Every OpenBLAS copy already loaded in this process, as ``(path,
+    """Every OpenBLAS copy loaded in this process, as ``(path,
     set_num_threads, get_num_threads)``.  Copies are found among the
     process's mapped shared objects (``/proc/self/maps``; none where
     that file does not exist) and opened with ``RTLD_NOLOAD``, so this
-    never loads a library that was not there."""
+    never loads a library that was not there.  The scan runs once per
+    process (forked workers inherit the list): ``import repro.engine``
+    maps numpy's and scipy's copies, so a task finds both, and a copy
+    mapped later is never pinned."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {
@@ -345,25 +350,18 @@ def blas_threads() -> dict[str, int]:
     return {path: get() for path, _, get in _loaded_openblas()}
 
 
-#: Open :func:`blas_pinned` blocks, and each pinned copy's count from
-#: before the first of them.
-_pin_depth = 0
-_pinned_from: list[tuple] = []
-
-
 @contextmanager
 def blas_pinned():
     """Pin every loaded OpenBLAS copy to one thread for a block.
 
-    A fleet worker runs its whole life inside one: N fleet processes
-    already cover N cores, while each OpenBLAS copy sizes its pool to
-    every core, and the helper thread scipy's ``expm`` (in
-    :func:`~repro.engine.plan.discretise_tank`) wakes keeps spinning on
-    the core the next worker needs.  In-process jobs run their tasks
-    inside one (:func:`~repro.service.scheduler.run_inline`): there the
-    spinning helper takes the core the kernel's second thread needs.
-    The kernel's own thread team is a separate axis
-    (``REPRO_ENGINE_THREADS``) and is left alone.
+    Every task runs inside one
+    (:meth:`~repro.service.scheduler.TaskContext.applied`): on a fleet
+    worker N fleet processes already cover N cores, while each OpenBLAS
+    copy sizes its pool to every core, and the helper thread scipy's
+    ``expm`` (in :func:`~repro.engine.plan.discretise_tank`) wakes keeps
+    spinning on the core the next worker needs; in process it takes the
+    core the kernel's second thread needs.  The kernel's own thread
+    team is a separate axis (``REPRO_ENGINE_THREADS``), left alone.
 
     Exactness: the pool size only decides how OpenBLAS divides a call
     between threads — over independent output blocks and right-hand-side
@@ -378,30 +376,25 @@ def blas_pinned():
     workers against in-process runs, and ``TestFleetBlasPinned`` holds
     pinned pools against the unpinned test process, all unedited.
 
-    Blocks nest and may interleave, as the generators that drive jobs
-    do: the first block to open records each copy's thread count and
-    pins it, and the last to close restores the recorded counts — on
-    completion, failure or cancellation alike.  The thread counts are
-    process state, so the blocks belong to the one thread that drives
-    in-process jobs (the daemon's job threads run nothing inline, so
-    they never open one); no lock guards them, since a fleet worker
-    forked while another thread held one would inherit it held.
+    A block records each copy's thread count, pins it, and restores the
+    count on exit — on completion, failure or cancellation alike.
+    Blocks wrap a task, never a yield, so they nest by that save and
+    restore alone.  The thread counts are process state, so the blocks
+    belong to the one thread that runs tasks in a process (the daemon's
+    job threads run nothing inline, so they never open one); no lock
+    guards them, since a fleet worker forked while another thread held
+    one would inherit it held.
     """
-    global _pin_depth, _pinned_from
-    if _pin_depth == 0:
-        _pinned_from = [
-            (set_threads, get()) for _, set_threads, get in _loaded_openblas()
-        ]
-        for set_threads, _ in _pinned_from:
-            set_threads(1)
-    _pin_depth += 1
+    pinned = [
+        (set_threads, get()) for _, set_threads, get in _loaded_openblas()
+    ]
+    for set_threads, _ in pinned:
+        set_threads(1)
     try:
         yield
     finally:
-        _pin_depth -= 1
-        if _pin_depth == 0:
-            for set_threads, count in _pinned_from:
-                set_threads(count)
+        for set_threads, count in pinned:
+            set_threads(count)
 
 
 def kernel_threads() -> int:

@@ -150,10 +150,10 @@ def measure_modulator_snr_batch(
 
     Each distinct measurement of the call is simulated once, as one
     batch in request order, and when ``engine`` carries a measurement
-    memo (an in-process ``ExperimentJob`` attaches one to the default
-    engine) every measurement the memo already holds is served from it
-    and only the misses are simulated.  A measurement is a pure
-    function of its memo key — the die by content, the key, the
+    memo (an in-process job run attaches its memo to the default engine
+    around each of its tasks) every measurement the memo already holds
+    is served from it and only the misses are simulated.  A measurement
+    is a pure function of its memo key — the die by content, the key, the
     standard, the power, the resolved record length, the seed and the
     substeps: those fix every engine request field, the engine result
     of a request does not depend on what else is in its batch, and

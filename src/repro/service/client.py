@@ -264,6 +264,8 @@ class RemoteJobHandle:
             })
             while len(events) < available - start:
                 frame = recv_frame(sock)
+                if frame is not None and not frame.get("ok", True):
+                    _raise_for(frame)
                 if frame is None or "event" not in frame:
                     break
                 events.append(event_from_wire(frame["event"]))

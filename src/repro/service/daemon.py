@@ -103,6 +103,7 @@ from repro.service.protocol import (
     default_address,
     encode_payload,
     event_to_wire,
+    parse_address,
     recv_frame,
     send_frame,
 )
@@ -377,8 +378,7 @@ class FoundryDaemon:
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
         self.fleet.shutdown()
-        family_is_unix = os.sep in self.address or ":" not in self.address
-        if family_is_unix:
+        if parse_address(self.address)[0] == "unix":
             try:
                 os.unlink(self.address)
             except OSError:
@@ -727,9 +727,15 @@ class FoundryDaemon:
         sees the full log, matching ``JobHandle.stream()``).  A job a
         drain left resumable, and any stream still open when the daemon
         stops, ends with ``"resumable": true`` instead — the job is not
-        over, and a daemon restarted on the same root resumes it."""
+        over, and a daemon restarted on the same root resumes it.  A
+        ``start`` that is not a non-negative integer gets an error frame
+        (a negative one would slice the log from its end)."""
         djob = self._job(frame["job_id"])
-        i = int(frame.get("start", 0))
+        i = frame.get("start", 0)
+        if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+            raise ValueError(
+                f"start must be a non-negative integer, got {i!r}"
+            )
         while True:
             with djob.cond:
                 if len(djob.events) <= i and not self._stop_event.is_set() \

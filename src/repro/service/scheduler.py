@@ -24,8 +24,9 @@ Three pieces, one of each:
   for work one task wide, run in the calling process, in order.
 
 Each task runs inside its job's :class:`TaskContext`
-(:meth:`TaskContext.applied`), on a worker or inline, so no job's
-backend, store or tenant meter reaches another job's task.
+(:meth:`TaskContext.applied`), on a worker or inline, which sets all
+the process state a task runs under and restores it after the task,
+so no job's setting reaches another job's task or outlives its own.
 
 Supervision: each worker is connected to the parent by its own duplex
 pipe, so the router always knows exactly which task each worker holds
@@ -241,33 +242,47 @@ class TaskContext:
         )
 
     @contextmanager
-    def applied(self):
-        """Set the default engine's backend and calibration store and
-        install the tenant meter, each only when this context names
-        one, for one block; restore all three on exit, and yield the
-        meter (or None).
+    def applied(self, memo: dict | None = None):
+        """Run one block under this context; yield the tenant meter (or
+        None).
+
+        Sets the default engine's backend and calibration store and
+        installs the tenant meter, each only when this context names
+        one, pins every loaded OpenBLAS copy to one thread
+        (:func:`~repro.engine.native.blas_pinned`), and attaches
+        ``memo`` unless an enclosing block attached a measurement memo
+        already (a job nested in another's task shares the outer run's);
+        all of it is restored on exit.
 
         Fleet workers and :func:`run_inline` enter it around each task,
         never across a yield, so no job's setting reaches another job's
-        task.  The backends are bit-exact and the store holds
-        deterministic values, so where they are set cannot change a
-        result — only which job pays for the reference loop.
+        task or stays set while a consumer holds a suspended job.  None
+        of it can change a result (the backends are bit-exact, store and
+        memo hold deterministic values, the pool size moves no byte) —
+        only who pays for the compute.
         """
         engine = get_default_engine()
         backend, store = engine.backend, engine.calibration_store
+        previous_memo = engine.measurement_memo
         previous_meter = current_tenant_meter()
         meter = self.meter()
         try:
-            if self.backend is not None:
-                set_default_backend(self.backend)
-            if self.store_path is not None:
-                engine.calibration_store = CalibrationStore(self.store_path)
-            if meter is not None:
-                install_tenant_meter(meter)
-            yield meter
+            with blas_pinned():
+                if self.backend is not None:
+                    set_default_backend(self.backend)
+                if self.store_path is not None:
+                    engine.calibration_store = CalibrationStore(
+                        self.store_path
+                    )
+                if previous_memo is None:
+                    engine.measurement_memo = memo
+                if meter is not None:
+                    install_tenant_meter(meter)
+                yield meter
         finally:
             engine.backend = backend
             engine.calibration_store = store
+            engine.measurement_memo = previous_memo
             install_tenant_meter(previous_meter)
 
 
@@ -337,11 +352,9 @@ def _fleet_worker_main(conn, heartbeat) -> None:
     """One fleet worker: receive ``(ticket, context, task, task_id)``
     items on its private duplex pipe until the sentinel (or the
     parent's end of the pipe closing), running each task inside its
-    context (:meth:`TaskContext.applied`).
-
-    A worker pins its OpenBLAS pools to one thread for its whole life
-    (:func:`~repro.engine.native.blas_pinned`): the fleet already
-    covers the cores.
+    context (:meth:`TaskContext.applied`), which also pins the
+    worker's OpenBLAS pools to one thread for the task — the fleet
+    already covers the cores — and attaches no measurement memo.
 
     What a task runs under is its own context, never what the previous
     task set, so reports cannot depend on which worker — or which
@@ -354,23 +367,22 @@ def _fleet_worker_main(conn, heartbeat) -> None:
     retry — because the parent is the only survivor of every crash
     schedule.
     """
-    with blas_pinned():
-        start_heartbeat(heartbeat)
-        while True:
-            try:
-                item = conn.recv()
-            except (EOFError, OSError):
-                return
-            if item is None:
-                return
-            ticket, context, task, task_id = item
-            with context.applied() as meter:
-                if meter is not None:
-                    meter.begin_task(task_id)
-                kind, task, payload, seconds, error = run_task(task)
-            conn.send((ticket, kind, task, payload, seconds, error))
-            if faults.ENABLED and faults.fire("worker.torn_conn"):
-                faults.tear_connection(conn)
+    start_heartbeat(heartbeat)
+    while True:
+        try:
+            item = conn.recv()
+        except (EOFError, OSError):
+            return
+        if item is None:
+            return
+        ticket, context, task, task_id = item
+        with context.applied() as meter:
+            if meter is not None:
+                meter.begin_task(task_id)
+            kind, task, payload, seconds, error = run_task(task)
+        conn.send((ticket, kind, task, payload, seconds, error))
+        if faults.ENABLED and faults.fire("worker.torn_conn"):
+            faults.tear_connection(conn)
 
 
 # ---------------------------------------------------------------------------
@@ -853,17 +865,16 @@ def run_inline(context: TaskContext, tasks):
     """Run ``tasks`` in this process, in order, yielding ``(task,
     payload, seconds)`` as :func:`run_on_fleet` does.
 
-    Each task runs inside ``context.applied()``, which wraps the task
-    and never a yield, so a job interleaved with another, nesting one
-    or cancelled between tasks leaves the process's settings as it
-    found them.  Every loaded OpenBLAS copy is pinned to one thread
-    for the run (:func:`~repro.engine.native.blas_pinned`).  A task
-    that raises propagates: the job fails.
+    Each task runs inside ``context.applied(memo)`` with the run's one
+    measurement memo, which wraps the task and never a yield, so a job
+    interleaved with another, nesting one, cancelled or left suspended
+    between tasks leaves the process's settings as it found them.  A
+    task that raises propagates: the job fails.
     """
-    with blas_pinned():
-        for task in tasks:
-            with context.applied():
-                start = time.perf_counter()
-                payload = task.run()
-                seconds = time.perf_counter() - start
-            yield task, payload, seconds
+    memo: dict = {}
+    for task in tasks:
+        with context.applied(memo):
+            start = time.perf_counter()
+            payload = task.run()
+            seconds = time.perf_counter() - start
+        yield task, payload, seconds

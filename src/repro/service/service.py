@@ -31,12 +31,12 @@ daemon's persistent fleet makes too, and every
 ``multiprocessing.Pool``).  Either way each task runs under its job's
 :class:`~repro.service.scheduler.TaskContext`, set for that task only,
 so in-process jobs that interleave or nest never see each other's
-backend or store.  Campaign reports are bit-identical to a sequential
-run whatever the worker count or backend (cells rebuild their chips
-and seed their own RNGs; calibrations are deterministic values read
-through the shared store), and a campaign with a journal resumes from
-its finished cells after a kill — both held in
-``tests/test_service.py``.
+backend or store, and interleaved ones never share a measurement memo.
+Campaign reports are bit-identical to a sequential run whatever the
+worker count or backend (cells rebuild their chips and seed their own
+RNGs; calibrations are deterministic values read through the shared
+store), and a campaign with a journal resumes from its finished cells
+after a kill — both held in ``tests/test_service.py``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 from repro.engine import CalibrationStore, get_default_engine
 from repro.service.jobs import (
@@ -468,12 +468,11 @@ class FoundryService:
 
     def _experiment_events(self, job):
         """Run the selected registry entries in report order, one task
-        each.  An in-process run shares one measurement memo: Figs.
-        7-12 and the attack-cost table measure one die against one key
+        each.  In process the tasks share their run's measurement memo
+        (:func:`~repro.service.scheduler.run_inline`): Figs. 7-12 and
+        the attack-cost table measure one die against one key
         population, and each measurement is then simulated once (see
-        :func:`~repro.receiver.performance.measure_modulator_snr_batch`).
-        A nested or interleaved job shares the open memo
-        (:meth:`~repro.engine.SimulationEngine.memoising`)."""
+        :func:`~repro.receiver.performance.measure_modulator_snr_batch`)."""
         from repro.experiments.runner import REGISTRY
 
         names = [name for name in REGISTRY
@@ -486,14 +485,9 @@ class FoundryService:
         events = self._run_tasks(
             self._task_context(job.backend, None), 1, tasks
         )
-        memo = (
-            get_default_engine().memoising() if self._runs_inline()
-            else nullcontext()
-        )
         results = []
-        with memo:
-            for task, payload, seconds in events:
-                results.append(payload)
-                yield TaskEvent("experiment", task.name, task.position,
-                                payload, seconds)
+        for task, payload, seconds in events:
+            results.append(payload)
+            yield TaskEvent("experiment", task.name, task.position,
+                            payload, seconds)
         return results

@@ -617,6 +617,34 @@ class TestDaemonLifecycle:
                 proc.kill()  # the fleet respawns it and retries the cell
         assert len(handle.result(timeout=600).reports) == 3
 
+    def test_events_refuses_a_negative_start(self, daemon_factory):
+        """A negative ``start`` would slice the event log from its end
+        and replay events out of order; the daemon answers an error
+        frame instead, as the HTTP door refuses a bad ``?start=``."""
+        daemon = daemon_factory("start", n_workers=1)
+        client = DaemonClient(socket=daemon.address)
+        handle = client.submit(CampaignJob(cells=oracle_cells(3),
+                                           n_workers=1))
+        handle.result(timeout=600)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            handle.events(-1)
+        assert [e.index for e in handle.events(1)] == [1, 2]
+
+    def test_stop_removes_a_relative_socket_with_a_colon(
+        self, tmp_path, monkeypatch
+    ):
+        """``run:daemon.sock`` is a Unix socket path (its last field is
+        not a port), so ``stop()`` removes the socket file."""
+        monkeypatch.chdir(tmp_path)
+        daemon = FoundryDaemon(tmp_path / "root", socket="run:daemon.sock",
+                               n_workers=1)
+        daemon.start()
+        try:
+            assert os.path.exists("run:daemon.sock")
+        finally:
+            daemon.stop()
+        assert not os.path.exists("run:daemon.sock")
+
     def test_inprocess_wait_and_result_timeout(self):
         """Satellite on the in-process handle: wait(timeout)/
         result(timeout) check the deadline at task boundaries and never

@@ -586,14 +586,26 @@ class TestInProcessJobsPinBlas:
         before = blas_threads()
         if not before:
             pytest.skip("no OpenBLAS loaded in this process")
-        first, _ = self.submit("experiment", False, monkeypatch, tmp_path)
-        second, _ = self.submit("campaign", False, monkeypatch, tmp_path)
+        first, first_seen = self.submit(
+            "experiment", False, monkeypatch, tmp_path
+        )
+        second, second_seen = self.submit(
+            "campaign", False, monkeypatch, tmp_path
+        )
         next(iter(first.stream()))
         next(iter(second.stream()))
+        # Each task pins and restores on its own: neither suspended job
+        # holds the pools pinned.
+        assert blas_threads() == before
         first.result()
-        assert blas_threads() == {path: 1 for path in before}
+        assert blas_threads() == before
         second.result()
         assert blas_threads() == before
+        assert len(first_seen) == len(second_seen) == 2
+        assert all(
+            threads == {path: 1 for path in before}
+            for threads in first_seen + second_seen
+        )
 
     def test_nested_job_restores_the_outer_pin(self, monkeypatch):
         from repro.engine.native import blas_threads
@@ -842,28 +854,44 @@ class TestExperimentBackendRestored:
             ExperimentJob(names=("tab-attack", "tab-keys"), backend=other)
         )
         next(iter(handle.stream()))
-        # The backend applies around each task only; the memo spans
-        # the job.
+        # The backend and the memo apply around each task only.
         assert get_default_engine().backend == previous
-        assert get_default_engine().measurement_memo
+        assert get_default_engine().measurement_memo is None
         assert handle.cancel() is True
         assert get_default_engine().backend == previous
         assert get_default_engine().measurement_memo is None
 
-    def test_interleaved_jobs_detach_when_the_last_ends(self):
-        # Jobs started A then B and finished A then B share A's memo
-        # until B ends, and leave none behind.
+    def test_interleaved_jobs_detach_when_the_last_ends(self, monkeypatch):
+        # Jobs started A then B and finished A then B each measure into
+        # their own memo, attached around their own tasks only.
+        from repro.experiments.common import ExperimentResult
+        from repro.experiments.runner import REGISTRY
+
         engine = get_default_engine()
-        first = FoundryService().submit(ExperimentJob(names=("tab-keys",)))
-        second = FoundryService().submit(ExperimentJob(names=("tab-ovr",)))
+        seen = []
+
+        def probe(**kwargs):
+            seen.append(engine.measurement_memo)
+            return ExperimentResult("probe", "probe", [])
+
+        names = ("tab-keys", "tab-ovr")
+        for name in names:
+            monkeypatch.setitem(
+                REGISTRY, name, dataclasses.replace(REGISTRY[name], run=probe)
+            )
+        first = FoundryService().submit(ExperimentJob(names=names))
+        second = FoundryService().submit(ExperimentJob(names=names))
         next(iter(first.stream()))
-        memo = engine.measurement_memo
         next(iter(second.stream()))
-        assert engine.measurement_memo is memo is not None
+        assert engine.measurement_memo is None
         first.result()
-        assert engine.measurement_memo is memo
+        assert engine.measurement_memo is None
         second.result()
         assert engine.measurement_memo is None
+        first_a, second_a, first_b, second_b = seen
+        assert first_a is first_b is not None
+        assert second_a is second_b is not None
+        assert first_a is not second_a
 
     def test_nested_job_keeps_the_outer_memo(self, monkeypatch):
         from repro.experiments.runner import REGISTRY
@@ -894,3 +922,41 @@ class TestExperimentBackendRestored:
         assert outer_memo is not None
         assert inner_memo is outer_memo is after_inner
         assert get_default_engine().measurement_memo is None
+
+
+class TestSuspendedConsumer:
+    """A consumer that takes one event and stops, neither cancelling
+    nor dropping the handle, leaves no job setting in force: the
+    measurement memo and the OpenBLAS pin apply around each task, not
+    across the job's suspended stream."""
+
+    def test_nothing_stays_set_between_tasks(self, monkeypatch):
+        from repro.engine.native import blas_threads
+        from repro.experiments.common import ExperimentResult
+        from repro.experiments.runner import REGISTRY
+
+        before = blas_threads()
+        seen = []
+
+        def probe(**kwargs):
+            seen.append(get_default_engine().measurement_memo)
+            return ExperimentResult("probe", "probe", [])
+
+        for name in ("tab-keys", "tab-ovr"):
+            monkeypatch.setitem(
+                REGISTRY, name, dataclasses.replace(REGISTRY[name], run=probe)
+            )
+        first = FoundryService().submit(
+            ExperimentJob(names=("tab-keys", "tab-ovr"))
+        )
+        next(iter(first.stream()))
+        assert first.status() is JobStatus.RUNNING
+        assert get_default_engine().measurement_memo is None
+        assert blas_threads() == before
+        FoundryService().submit(ExperimentJob(names=("tab-ovr",))).result()
+        first.result()
+        first_memo, second_memo, first_memo_again = seen
+        assert second_memo is not None and second_memo is not first_memo
+        assert first_memo_again is first_memo is not None
+        assert get_default_engine().measurement_memo is None
+        assert blas_threads() == before
