@@ -72,7 +72,7 @@ def descent_machine(
     The machine owns the accept logic and the memo, but not the
     measurements: it *yields* lists of candidate configurations to
     score and receives their scores via ``send``, so any driver — the
-    in-process :func:`coordinate_descent` below, or the lockstep
+    sequential :func:`coordinate_descent` below, or the lockstep
     calibration driver fusing many dies' machines into shared engine
     batches — can advance it without changing what it decides.  The
     final :class:`CoordinateDescentResult` is the generator's return
@@ -167,7 +167,6 @@ def coordinate_descent(
     fields: tuple[tuple[str, int], ...] = STEP14_FIELDS,
     passes: int = 2,
     initial_step: int = 8,
-    batch_objective: Callable[[list[ConfigWord]], list[float]] | None = None,
 ) -> CoordinateDescentResult:
     """Maximise ``objective`` over the given configuration fields.
 
@@ -177,29 +176,22 @@ def coordinate_descent(
     SFDR penalty) and is treated as expensive: results are memoised so
     a configuration is never measured twice.
 
-    This is the in-process driver over :func:`descent_machine` — it
-    feeds every yielded candidate list to ``batch_objective`` (or, in
-    sequential mode, each single candidate to ``objective``) and sends
-    the scores back until the machine returns.  ``batch_objective``
-    must return, per configuration, exactly the value ``objective``
-    would; it then scores each round's two neighbours in one call, and
-    the result (trace order included) is exactly the sequential
-    descent's.
+    This is the in-process sequential driver over
+    :func:`descent_machine`: it feeds each single candidate the machine
+    yields to ``objective`` and sends the score back until the machine
+    returns.  The calibration procedure drives a batched machine
+    itself, fusing many dies' rounds into shared engine batches.
     """
     machine = descent_machine(
         start,
         fields=fields,
         passes=passes,
         initial_step=initial_step,
-        batched=batch_objective is not None,
+        batched=False,
     )
     try:
         candidates = next(machine)
         while True:
-            if batch_objective is not None:
-                scores = batch_objective(candidates)
-            else:
-                scores = [objective(config) for config in candidates]
-            candidates = machine.send(scores)
+            candidates = machine.send([objective(c) for c in candidates])
     except StopIteration as stop:
         return stop.value

@@ -169,8 +169,6 @@ class CalibrationProbe:
             gets bit-identical results.
         decode: Pure post-processing from the requests' results (in
             request order) to the value the machine expects back.
-        kind: Debug/audit label (``"fosc"``, ``"oscillates"``,
-            ``"scores"``, ``"verify"``).
         fused_extract: Optional hook for the lockstep driver, which
             decodes many probes at once: maps this probe's results to
             the ``(record, fs)`` pair a batched meter
@@ -183,7 +181,6 @@ class CalibrationProbe:
 
     requests: tuple["ModulatorRequest", ...]
     decode: Callable[[list], object]
-    kind: str = ""
     fused_extract: Callable[[list], tuple] | None = None
 
 
@@ -208,7 +205,6 @@ def _fosc_probe(
     return CalibrationProbe(
         (request,),
         decode,
-        kind="fosc",
         # The lockstep driver fuses every active die's frequency decode
         # into one batched meter call per round (same settled slice,
         # same meter arithmetic — bit-identical to decode()).
@@ -229,7 +225,7 @@ def _oscillates_probe(
             results[0].output[request.n_samples // 2 :], standard.fs
         )
 
-    return CalibrationProbe((request,), decode, kind="oscillates")
+    return CalibrationProbe((request,), decode)
 
 
 def _cap_tuning_machine(
@@ -362,7 +358,7 @@ def _score_probe(
         return scores
 
     return CalibrationProbe(
-        tuple(snr_requests) + tuple(sfdr_requests), decode, kind="scores"
+        tuple(snr_requests) + tuple(sfdr_requests), decode
     )
 
 
@@ -416,7 +412,7 @@ def _verification_probe(
         )
 
     return CalibrationProbe(
-        tuple(snr_requests) + tuple(sfdr_requests), decode, kind="verify"
+        tuple(snr_requests) + tuple(sfdr_requests), decode
     )
 
 

@@ -113,8 +113,9 @@ Cache semantics
 
 The engine owns two bounded LRU caches (:class:`~repro.engine.cache.
 BoundedCache`), replacing the old unbounded module-global calibration
-cache: calibration results keyed by ``(chip_id, standard_index)``, and
-per-chip ZOH tank discretisations keyed by ``(cc, cf, h)`` (held on the
+cache: calibration results keyed by ``(lot_seed, chip_id,
+standard_index)``, and per-chip ZOH tank discretisations keyed by
+``(cc, cf, h)`` (held on the
 :class:`~repro.receiver.receiver.Chip`, since they are chip state like
 its block set).  Two further run-scoped memos share the sampled RF
 stimulus waveform and the drawn measurement records (the Gmin's
@@ -141,11 +142,13 @@ engine) empties the persistent ones for tests and long-running sweeps.
 
 Behind the in-memory LRU an engine may attach a cross-process
 :class:`~repro.engine.store.CalibrationStore` — a directory of
-atomically-written calibration results, keyed like the LRU (the
-campaign layer keys on ``(lot_seed, chip_id, standard_index)``) —
-which ``calibrated()`` reads through and writes through.  Campaign
-worker pools share one per campaign (each die of a fleet calibrated
-once campaign-wide instead of once per worker), and
+atomically-written calibration results, keyed like the LRU.
+``calibrated()`` reads it with ``get`` after an LRU miss and writes
+what it computes with ``put``, the write every provisioning pass
+makes; no lock is taken, so two processes that miss one key together
+may both compute it and store the same entry.  Campaign worker pools
+share one per campaign (each die of a fleet calibrated once
+campaign-wide instead of once per worker), and
 ``REPRO_CALIBRATION_STORE`` attaches one to the default engine for a
 whole process tree.  ``clear_caches()`` clears an attached store too.
 
@@ -162,9 +165,9 @@ matrices for :meth:`~repro.receiver.chain.DigitalChain.process_matrix`
 the whole matrix).  Each single-record call (``process``,
 ``periodogram``) is the one-row case of its batch, and a row's result
 does not depend on the rest of its batch; the calibration layer's
-batched coordinate descent
-(:func:`~repro.calibration.optimizer.coordinate_descent` with
-``batch_objective``) builds on the same primitives.
+lockstep driver, which advances batched
+:func:`~repro.calibration.optimizer.descent_machine` instances, builds
+on the same primitives.
 """
 
 from repro.engine.cache import BoundedCache

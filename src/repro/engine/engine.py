@@ -304,25 +304,29 @@ class SimulationEngine:
         chip: "Chip",
         standard,
         factory: Callable | None = None,
-        key: tuple | None = None,
+        *,
+        key: tuple,
     ):
-        """Calibration result for ``chip`` at ``standard``, cached.
+        """Calibration result for ``chip`` at ``standard``, cached
+        under ``key``.
 
-        The default cache key is ``(chip_id, standard.index)`` —
-        experiments all draw chips from the shared reference lot, so a
-        die is identified by its id.  Callers whose chips span several
-        lots must pass an explicit ``key`` that includes the lot (the
-        campaign layer keys on ``(lot_seed, chip_id, standard.index)``),
-        or dies with equal ids would collide.  Pass ``factory`` (a
-        zero-argument callable) to control how a missing entry is
-        computed; the default runs the full paper calibration procedure.
+        ``key`` must name the die across lots: the campaign layer's
+        :func:`~repro.campaigns.scenario.provision_calibration`, the one
+        on-demand caller, keys on ``(lot_seed, chip_id,
+        standard.index)``, because dies with equal ids from different
+        lots are different silicon.  Pass ``factory`` (a zero-argument
+        callable) to control how a missing entry is computed; the
+        default runs the full paper calibration procedure.
 
-        Lookup order is memory LRU, then the engine's cross-process
-        :class:`~repro.engine.store.CalibrationStore` (when attached),
-        then ``factory`` — whose result is written through to both.
-        Calibration results are deterministic values, so neither cache
-        layer can change what callers observe, only who pays for the
-        compute.
+        Lookup order is memory LRU, then the attached
+        :class:`~repro.engine.store.CalibrationStore`'s ``get``; a miss
+        in both runs ``factory`` and writes its result to the LRU and,
+        through ``put`` (the write a provisioning pass makes), to the
+        store.  No lock is taken: two processes that miss one key at
+        the same moment may both compute it and both put the same
+        entry.  Calibration results are deterministic values, so
+        neither cache layer can change what callers observe, only who
+        pays for the compute.
         """
         if factory is None:
             def factory():  # deferred import: calibration imports the receiver
@@ -330,14 +334,16 @@ class SimulationEngine:
 
                 return Calibrator().calibrate(chip, standard)
 
-        if key is None:
-            key = (chip.variations.chip_id, standard.index)
-        if self.calibration_store is not None:
-            store = self.calibration_store
-            inner = factory
+        store = self.calibration_store
+        if store is not None:
+            compute = factory
 
             def factory():
-                return store.get_or_set(key, inner)
+                value = store.get(key)
+                if value is None:
+                    value = compute()
+                    store.put(key, value)
+                return value
 
         return self.calibration_cache.get_or_set(key, factory)
 

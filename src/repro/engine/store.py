@@ -34,6 +34,16 @@ Design points:
   lines).  ``benchmarks/test_bench_campaign.py`` counts those lines to
   guard the "each die calibrated once per fleet, not once per worker"
   property.
+* **One write path, no lock.**  Every value enters through :meth:`put`
+  (:meth:`put_many` is its bulk form): a provisioning pass streams each
+  die's result through it, and
+  :meth:`~repro.engine.engine.SimulationEngine.calibrated` puts what it
+  computes on a miss.  Nothing elects one computing process per key:
+  two processes that miss a key at the same moment may both compute it
+  and both rename the same checksummed entry into place — compute time
+  lost, never a wrong value, since entries are deterministic and the
+  rename is atomic — and a process killed mid-compute leaves nothing
+  another process waits on.
 """
 
 from __future__ import annotations
@@ -42,7 +52,6 @@ import hashlib
 import os
 import pickle
 import tempfile
-import time
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -63,31 +72,20 @@ DIGEST_BYTES = 16
 class CalibrationStore:
     """A directory of calibration results shared across processes.
 
+    Reads go through :meth:`get`, writes through :meth:`put` (or its
+    bulk form :meth:`put_many`); no call takes a lock.
+
     Args:
         path: Store directory; created (parents included) when missing.
-        lock_timeout: How long :meth:`get_or_set` waits on another
-            process's in-flight compute of the same key before treating
-            its lock as stale (crashed holder) and computing anyway.
-        poll_interval: Seconds between lock polls while waiting.
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        lock_timeout: float = 600.0,
-        poll_interval: float = 0.05,
-    ):
+    def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
-        self.lock_timeout = lock_timeout
-        self.poll_interval = poll_interval
         self.path.mkdir(parents=True, exist_ok=True)
 
     def _entry(self, key: tuple) -> Path:
         digest = hashlib.sha256(repr(key).encode()).hexdigest()[:24]
         return self.path / f"cal-{digest}.pkl"
-
-    def _lock(self, key: tuple) -> Path:
-        return self._entry(key).with_suffix(".lock")
 
     def get(self, key: tuple):
         """The stored value for ``key``, or None on any kind of miss."""
@@ -181,83 +179,6 @@ class CalibrationStore:
                 b"".join(self._event_line(key, event) for key, _ in items)
             )
 
-    def get_or_set(self, key: tuple, factory):
-        """Read-through helper: store hit, else compute and store.
-
-        Concurrent callers of the same key race *cleanly*: a per-key
-        lock file (``O_CREAT | O_EXCL``, the portable atomic create)
-        elects one process to run ``factory`` while the others poll for
-        its entry — one compute in the audit log, every caller handed
-        the identical pickle.  A lock file older than ``lock_timeout``
-        is treated as a crashed holder's debris: the waiter unlinks it
-        and contends for a fresh lock of its own (duplicate work at
-        worst, never a deadlock or a wrong value — entries are atomic
-        and deterministic — and staleness is the *lock's* age, so
-        late-arriving waiters don't each re-wait a full timeout).  A
-        ``factory`` that raises releases the lock so waiters can take
-        over.
-        """
-        value = self.get(key)
-        if value is not None:
-            return value
-        lock = self._lock(key)
-        while True:
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                try:
-                    age = time.time() - os.stat(lock).st_mtime
-                except OSError:
-                    continue  # lock vanished under us: contend again
-                if age > self.lock_timeout:
-                    # Crashed holder: clear the debris and contend for
-                    # a fresh lock (one unlinker wins the O_EXCL race).
-                    try:
-                        os.unlink(lock)
-                    except OSError:
-                        pass
-                    continue
-                time.sleep(self.poll_interval)
-                value = self.get(key)
-                if value is not None:
-                    return value
-                continue
-            os.close(fd)
-            try:
-                # Lock won; the previous holder may have finished the
-                # compute between our miss and our acquisition.
-                value = self.get(key)
-                if value is None:
-                    value = factory()
-                    self.put(key, value)
-                return value
-            finally:
-                try:
-                    os.unlink(lock)
-                except OSError:
-                    pass
-
-    def clear_locks(self) -> int:
-        """Sweep every ``get_or_set`` lock file in the store; returns
-        how many were removed.
-
-        A killed process (a SIGKILLed worker or campaign driver) can
-        leave its :meth:`get_or_set` lock behind, and waiters would
-        poll it for ``lock_timeout`` before computing.  This is for
-        callers that know no live holder can exist in the *entire*
-        directory — the foundry daemon runs it at startup over its
-        store root, before any worker of the new fleet exists, so a
-        killed daemon's lock debris never stalls the next one.
-        """
-        removed = 0
-        for lock in self.path.glob("cal-*.lock"):
-            try:
-                lock.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
     def __len__(self) -> int:
         return sum(1 for _ in self.path.glob("cal-*.pkl"))
 
@@ -279,13 +200,7 @@ class CalibrationStore:
         return [line for line in text.splitlines() if line]
 
     def clear(self) -> None:
-        """Drop every entry, stray lock and the audit log
-        (``clear_caches`` hook)."""
-        for lock in self.path.glob("cal-*.lock"):
-            try:
-                lock.unlink()
-            except OSError:
-                pass
+        """Drop every entry and the audit log (``clear_caches`` hook)."""
         for entry in self.path.glob("cal-*.pkl"):
             try:
                 entry.unlink()

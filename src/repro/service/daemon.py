@@ -57,9 +57,11 @@ Architecture
   (their finished cells are already journaled) *without* marking them
   terminal — their event streams end with ``"resumable": true`` — and
   a daemon restarted on the same root re-admits exactly those jobs:
-  they resume from their journals bit-identically.
-  Startup also sweeps crashed-holder ``get_or_set`` lock debris from
-  the store root, so a killed daemon can never stall the next one.
+  they resume from their journals bit-identically.  The daemon leaves
+  nothing in the shared store for a successor to clear: calibrations
+  enter it through ``CalibrationStore.put``, which takes no lock, so a
+  killed daemon's half-finished calibration costs the next one only
+  its recompute.
 
 Execution reuses the service layer wholesale: :class:`_FleetService`
 overrides only *where* tasks run (the persistent fleet instead of a
@@ -86,7 +88,6 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from repro.engine import CalibrationStore
 from repro.service.jobs import (
     CampaignJob,
     JobFailed,
@@ -301,18 +302,15 @@ class FoundryDaemon:
 
     # -- lifecycle --------------------------------------------------------
 
-    def start(self) -> int:
-        """Bring the daemon up; returns the number of stale store locks
-        swept.
+    def start(self) -> None:
+        """Bring the daemon up.
 
-        Order matters: sweep crashed-holder lock debris and fork the
-        fleet *first*, while this process is still single-threaded
-        (fork safety), then recover journaled jobs and finally open the
-        front door.
+        Order matters: fork the fleet *first*, while this process is
+        still single-threaded (fork safety), then recover journaled
+        jobs and finally open the front door.
         """
         if self._started:
             raise RuntimeError("daemon already started")
-        swept = CalibrationStore(self.store_path()).clear_locks()
         self.fleet.start()
         self._started = True
         self._recover()
@@ -322,7 +320,6 @@ class FoundryDaemon:
             target=self._accept_loop, name="repro-daemon-accept", daemon=True
         )
         self._accept_thread.start()
-        return swept
 
     def run(self) -> None:
         """Blocking CLI entry point with signal-driven drain: SIGTERM

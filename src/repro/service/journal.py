@@ -75,7 +75,7 @@ class JobJournal:
         payload = {"schema": SCHEMA, "fingerprint": fingerprint}
         payload.update(meta or {})
         try:
-            # O_CREAT|O_EXCL (the store's own lock pattern): exactly one
+            # O_CREAT|O_EXCL (the portable atomic create): exactly one
             # of two drivers racing to bind a fresh directory creates
             # the manifest; the loser falls through to verification, so
             # concurrent binds with different cell lists cannot both

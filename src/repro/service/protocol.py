@@ -195,8 +195,7 @@ def bind(spec: str) -> socket.socket:
     """Create the daemon's listening socket for an address.
 
     A stale Unix socket file left by a killed daemon is unlinked first
-    — binding over it would otherwise fail forever (the filesystem
-    analogue of the calibration store's crashed-holder lock debris).
+    — binding over it would otherwise fail forever.
     """
     family, target = parse_address(spec)
     if family == "unix":

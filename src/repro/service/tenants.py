@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -58,6 +59,11 @@ try:  # POSIX: the kernel releases a crashed holder's flock for us.
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
+
+
+#: A tenant name: it becomes a file name under ``<root>/tenants``, so
+#: it may hold no path separator and may not start with a dot.
+TENANT_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
 
 
 class RateLimited(QueryBudgetExceeded):
@@ -87,7 +93,9 @@ class TenantConfig:
 
     Attributes:
         name: Tenant identifier (the ``REPRO_SERVICE_TENANT`` value
-            clients submit under).
+            clients submit under); it must match :data:`TENANT_NAME`,
+            because it names the tenant's files under
+            ``<root>/tenants``.
         priority: Admission priority; higher admits first.
         max_queries: Tenant-wide oracle-measurement budget across all
             the tenant's jobs; None for unlimited.  Absolute — never
@@ -111,6 +119,13 @@ class TenantConfig:
     def __post_init__(self):
         if not self.name:
             raise ValueError("tenant name must be non-empty")
+        if not isinstance(self.name, str) or not TENANT_NAME.fullmatch(
+            self.name
+        ):
+            raise ValueError(
+                f"tenant name {self.name!r} must be 1-64 letters, digits, "
+                f"'.', '_' or '-', starting with a letter or digit"
+            )
         if self.max_queries is not None and self.max_queries < 0:
             raise ValueError(
                 f"max_queries must be >= 0 or None (unlimited), "

@@ -8,6 +8,7 @@ from repro.calibration import (
     Calibrator,
     NOMINAL_DELAY_CODE,
     coordinate_descent,
+    descent_machine,
     is_oscillating,
     metering,
     oscillation_frequency,
@@ -189,16 +190,21 @@ class TestSpeculativeBatchedDescent:
     def test_replay_identical_to_sequential(self):
         objective = self._noisy_objective()
         fields = (("gmin_code", 6), ("dac_code", 6), ("preamp_code", 5))
-        sequential = coordinate_descent(
-            objective, ConfigWord(), fields=fields, passes=2
-        )
-        batched = coordinate_descent(
-            objective,
-            ConfigWord(),
-            fields=fields,
-            passes=2,
-            batch_objective=lambda configs: [objective(c) for c in configs],
-        )
+
+        def drive(batched):
+            machine = descent_machine(
+                ConfigWord(), fields=fields, passes=2, batched=batched
+            )
+            try:
+                candidates = next(machine)
+                while True:
+                    scores = [objective(c) for c in candidates]
+                    candidates = machine.send(scores)
+            except StopIteration as stop:
+                return stop.value
+
+        sequential = drive(batched=False)
+        batched = drive(batched=True)
         assert batched.config == sequential.config
         assert batched.score == sequential.score
         assert batched.n_evaluations == sequential.n_evaluations

@@ -178,6 +178,15 @@ class TestTenantVocabulary:
         with pytest.raises(ValueError, match="non-empty"):
             parse_tenant_spec("=1")
 
+    def test_tenant_name_is_a_file_name(self):
+        for name in ("acme", "default", "a.b_c-1", "9" * 64):
+            assert TenantConfig(name).name == name
+        for name in ("..", "a/b", "/abs", ".hidden", "a\\b", "9" * 65):
+            with pytest.raises(ValueError, match="tenant name"):
+                TenantConfig(name)
+        with pytest.raises(ValueError, match="tenant name"):
+            parse_tenant_spec("../up=5")
+
     def test_meter_admits_or_refuses_whole_chunks(self, tmp_path):
         from repro.attacks.oracle import QueryBudgetExceeded
 
@@ -778,24 +787,6 @@ class TestDaemonRobustness:
         finally:
             sock.close()
         assert DaemonClient(socket=daemon.address).ping()["ok"] is True
-
-
-class TestStartupSweep:
-    def test_startup_sweeps_crashed_holder_locks(self, tmp_path):
-        """Satellite: a killed daemon's get_or_set lock debris in the
-        shared store is swept at startup, before any fleet worker can
-        wait on it."""
-        root = tmp_path / "sweep"
-        store = CalibrationStore(root / "calstore")
-        for key in (("a", 1), ("b", 2), ("c", 3)):
-            fd = os.open(store._lock(key), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            os.close(fd)
-        daemon = FoundryDaemon(root, socket=short_socket(), n_workers=1)
-        try:
-            assert daemon.start() == 3
-            assert list((root / "calstore").glob("cal-*.lock")) == []
-        finally:
-            daemon.stop()
 
 
 # ---------------------------------------------------------------------------

@@ -507,6 +507,36 @@ class TestHTTPFacade:
                 f"/v1/jobs/{reply['job_id']}/result?timeout=115",
             )
 
+    def test_path_tenant_names_are_400_and_write_nothing(
+        self, tmp_path, daemon_factory
+    ):
+        """A tenant name becomes a file name under ``<root>/tenants``:
+        one that is a path is refused, through the body field and the
+        header alike, before any file exists outside the root."""
+        root = tmp_path / "a" / "b" / "root"
+        daemon = daemon_factory(root=root, n_workers=1)
+        front = FoundryHTTPFrontend(backend=daemon.address, max_wait=120.0)
+        front.start()
+        try:
+            for body, headers in (
+                ({"tenant": "../../../escaped", "job": CAMPAIGN_JSON}, {}),
+                ({"job": CAMPAIGN_JSON},
+                 {"X-Repro-Tenant": str(tmp_path / "abs" / "escaped")}),
+            ):
+                status, reply = http_request(
+                    front.address, "POST", "/v1/jobs", body, headers=headers
+                )
+                assert status == 400, reply
+                assert reply["kind"] == "ValueError"
+                assert "tenant name" in reply["error"]
+        finally:
+            front.stop()
+        outside = [
+            path for path in tmp_path.rglob("*")
+            if not path.is_dir() and root not in path.parents
+        ]
+        assert outside == []
+
     def test_cancel_endpoint(self, frontend):
         _, reply = http_request(
             frontend.address, "POST", "/v1/jobs", {"job": CAMPAIGN_JSON}

@@ -747,6 +747,45 @@ class TestJournalResume:
         resumed = run_campaign(cells, n_workers=2, journal=journal)
         assert resumed.reports == uninterrupted.reports
 
+    def test_resume_after_a_kill_mid_calibration(self, tmp_path):
+        """A journaled campaign whose process dies mid-calibration
+        leaves nothing in its calibration store that the resuming
+        process waits on: the resume computes the die and reproduces
+        the uninterrupted run's reports."""
+        cells = [CampaignCell("removal", ThreatScenario(seed=3))]
+        uninterrupted = run_campaign(cells, n_workers=1)
+        journal = str(tmp_path / "journal")
+        reports_file = str(tmp_path / "reports.pkl")
+        script = (
+            "import os, pickle, sys\n"
+            "from repro.calibration import Calibrator\n"
+            "from repro.campaigns import CampaignCell, ThreatScenario, "
+            "run_campaign\n"
+            "if sys.argv[1] == 'kill':\n"
+            "    Calibrator.calibrate_fleet = lambda *a, **k: os._exit(9)\n"
+            "result = run_campaign(\n"
+            "    [CampaignCell('removal', ThreatScenario(seed=3))],\n"
+            "    n_workers=1, journal=sys.argv[2])\n"
+            "with open(sys.argv[3], 'wb') as fh:\n"
+            "    pickle.dump(result.reports, fh)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_FAULTS"}
+        inherited = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = "src" + (os.pathsep + inherited if inherited else "")
+
+        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+        def child(mode):
+            return subprocess.run(
+                [sys.executable, "-c", script, mode, journal, reports_file],
+                cwd=repo_root, env=env, timeout=120,
+            )
+
+        assert child("kill").returncode == 9  # died inside the calibration
+        assert child("resume").returncode == 0
+        with open(reports_file, "rb") as fh:
+            assert pickle.load(fh) == uninterrupted.reports
+
     def test_torn_journal_entry_degrades_to_recompute(self, tmp_path):
         """A kill landing mid-write leaves a torn entry: it must read
         as a miss and the cell re-executes to the identical report."""
