@@ -199,12 +199,7 @@ def provision_fleet(
 
     if not isinstance(store, CalibrationStore):
         store = CalibrationStore(store)
-    triples = list(triples)
-    todo = [
-        triple
-        for triple, hit in zip(triples, store.get_many(triples))
-        if hit is None
-    ]
+    todo = store.missing(triples)
     if not todo:
         return 0
     chips = [

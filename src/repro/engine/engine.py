@@ -42,7 +42,6 @@ class EngineStats:
     n_reference_runs: int = 0
     n_vectorized_runs: int = 0
     integrate_seconds: float = 0.0
-    dsp_seconds: float = 0.0
 
 
 class EngineRun:
@@ -281,12 +280,10 @@ class SimulationEngine:
                 logic_threshold=chip.design.front_end.logic_threshold,
                 digital_config=profile,
             )
-            start = time.perf_counter()
             outs = chain.process_matrix(
                 np.stack([mods[i].output for i in indices]),
                 fs=[requests[i].fs for i in indices],
             )
-            self.stats.dsp_seconds += time.perf_counter() - start
             for i, out in zip(indices, outs):
                 results[i] = out
         return results  # type: ignore[return-value]

@@ -161,6 +161,10 @@ class CalibrationStore:
         """Bulk read: the stored value per key, None per miss."""
         return [self.get(key) for key in keys]
 
+    def missing(self, keys: Sequence[tuple]) -> list:
+        """The keys with no stored value, in order."""
+        return [key for key in keys if self.get(key) is None]
+
     def put_many(self, items: Iterable[tuple[tuple, object]], event: str = "") -> None:
         """Atomically store many entries, logging one audit line each.
 

@@ -16,7 +16,18 @@ campaign byte-for-byte against the in-process service.
 The one semantic difference is *who drives*: the daemon runs the job
 whether or not anyone is connected, so ``wait()``/``result()`` here
 block on the daemon instead of driving the executor, and a client
-timeout leaves the job running server-side.
+timeout leaves the job running server-side.  A job a daemon drain or
+shutdown left resumable raises :class:`JobInterrupted` from
+``stream()``, ``result()`` and ``wait()`` alike.
+
+Every read of a job is one daemon ``events`` read on its own
+connection (see :mod:`~repro.service.daemon`): ``events(start)`` asks
+for the events from ``start`` and an answer at once,
+``result(timeout)`` and ``wait(timeout)`` for no events and an answer
+once the job is over or ``timeout`` has passed, and ``stream()`` for
+every event from the last one it yielded until the job is over.  The
+read's ``end`` frame maps to the in-process handle's outcome through
+one function.
 
 Defaults come from the environment: ``REPRO_SERVICE_SOCKET`` names the
 daemon address, ``REPRO_SERVICE_TENANT`` the tenant to submit under.
@@ -66,8 +77,8 @@ class DaemonUnavailableError(ConnectionError):
 
 
 class JobInterrupted(DaemonUnavailableError):
-    """The job's stream ended because its daemon drained or stopped,
-    not because the job did: it is resumable, and resubmitting it to a
+    """The job's read ended because its daemon drained or stopped, not
+    because the job did: it is resumable, and resubmitting it to a
     daemon restarted on the same root continues from its journal."""
 
 
@@ -79,12 +90,6 @@ def _raise_for(reply: dict):
         raise JobFailed(error)
     if kind == "JobCancelled":
         raise JobCancelled(error)
-    if kind == "Timeout":
-        raise TimeoutError(
-            f"job still {reply.get('status', 'running')} "
-            f"({reply.get('n_events', 0)} tasks completed); result() again "
-            f"to keep waiting, cancel() to stop"
-        )
     if kind == "KeyError":
         raise KeyError(error)
     if kind == "DaemonUnavailable":
@@ -107,6 +112,38 @@ def _raise_for(reply: dict):
             raised = JournalMismatch
         raise raised(error)
     raise RuntimeError(f"{kind}: {error}" if kind else error)
+
+
+def _outcome(job_id: str, end: dict):
+    """What a read's ``end`` frame reports, in the in-process handle's
+    terms: a completed job's result, or what the in-process handle
+    raises in its place — :class:`JobFailed`, :class:`JobCancelled`, or
+    :class:`TimeoutError` for a job still pending or running when the
+    read's ``timeout`` passed — and :class:`JobInterrupted` for a job a
+    daemon drain or shutdown left resumable."""
+    status = JobStatus(end["status"])
+    if end.get("resumable"):
+        raise JobInterrupted(
+            f"job {job_id} interrupted by a daemon drain or shutdown; "
+            f"resubmit it to resume"
+        )
+    if status is JobStatus.FAILED:
+        raise JobFailed(end["error"] or "job failed")
+    if status is JobStatus.CANCELLED:
+        raise JobCancelled(
+            f"job cancelled after {end['n_events']} completed tasks"
+        )
+    if status is not JobStatus.COMPLETED:
+        raise TimeoutError(
+            f"job still {status.value} ({end['n_events']} tasks "
+            f"completed); result() again to keep waiting, cancel() to stop"
+        )
+    if end["result"] is None:  # a record a restarted daemon loaded
+        raise RuntimeError(
+            "result not retained across a daemon restart; resubmit the "
+            "job to replay it from its journal"
+        )
+    return decode_payload(end["result"])
 
 
 def _server_wait_grace(timeout: float | None) -> float | None:
@@ -233,7 +270,10 @@ class DaemonClient:
 
 class RemoteJobHandle:
     """Drop-in :class:`~repro.service.service.JobHandle` backed by a
-    daemon (see module docstring for the driving-semantics difference)."""
+    daemon (see module docstring for the driving-semantics difference).
+    ``events()``, ``result()`` and ``wait()`` each open one connection
+    for one read; ``stream()`` opens one more only to resume a torn
+    stream."""
 
     def __init__(self, client: DaemonClient, job_id: str, job=None):
         self.client = client
@@ -247,31 +287,42 @@ class RemoteJobHandle:
 
     def events(self, start: int = 0) -> list:
         """The events delivered so far, from index ``start`` (the
-        in-process handle's log, never waiting on the job): one status
-        round trip learns how many exist, then exactly that many are
-        read off the replaying stream before hanging up."""
-        available = self.client._request(
-            {"op": "status", "job_id": self.job_id}
-        )["n_events"]
-        events = []
-        if available <= start:
-            return events
+        in-process handle's log, never waiting on the job): one read
+        that the daemon answers at once."""
+        return self._read(start, 0)[0]
+
+    def _frames(self, start: int | None, timeout: float | None):
+        """One ``events`` read on its own connection: yield its frames
+        — the events from ``start``, then the ``end`` frame — raising
+        the mapped exception for an error frame."""
         sock = self.client._connect()
         try:
-            sock.settimeout(self.client.timeout)
+            # The daemon waits server-side for `timeout`; the socket
+            # read must outlive that wait by the shared transit grace.
+            sock.settimeout(_server_wait_grace(timeout))
             send_frame(sock, {
-                "op": "events", "job_id": self.job_id, "start": start,
+                "op": "events", "job_id": self.job_id,
+                "start": start, "timeout": timeout,
             })
-            while len(events) < available - start:
+            while True:
                 frame = recv_frame(sock)
-                if frame is not None and not frame.get("ok", True):
+                if frame is None:
+                    raise DaemonUnavailableError(
+                        f"daemon at {self.client.address} closed the "
+                        f"connection (shutdown or restart?)"
+                    )
+                if not frame.get("ok", True):
                     _raise_for(frame)
-                if frame is None or "event" not in frame:
-                    break
-                events.append(event_from_wire(frame["event"]))
+                yield frame
+                if "end" in frame:
+                    return
         finally:
             sock.close()
-        return events
+
+    def _read(self, start: int | None, timeout: float | None):
+        """One bounded read: ``(events from start, end frame)``."""
+        *frames, last = self._frames(start, timeout)
+        return [event_from_wire(f["event"]) for f in frames], last["end"]
 
     def stream(self):
         """Yield :class:`~repro.service.jobs.TaskEvent` records as tasks
@@ -289,47 +340,22 @@ class RemoteJobHandle:
         delivered = 0
         reconnects_left = STREAM_RECONNECTS
         while True:
-            sock = None
             try:
-                try:
-                    sock = self.client._connect()
-                    sock.settimeout(None)  # events arrive at task cadence
-                    send_frame(sock, {
-                        "op": "events", "job_id": self.job_id,
-                        # Resume past the events already yielded; the
-                        # daemon replays its buffer from any index.
-                        "start": delivered,
-                    })
-                    while True:
-                        frame = recv_frame(sock)
-                        if frame is None:
-                            raise ProtocolError(
-                                "daemon closed the event stream "
-                                "(shutdown or restart?)"
-                            )
-                        if not frame.get("ok", True):
-                            _raise_for(frame)  # deliberate — never retried
-                        if "event" in frame:
-                            yield event_from_wire(frame["event"])
-                            delivered += 1
-                            reconnects_left = STREAM_RECONNECTS  # progress
-                            continue
-                        end = frame["end"]
-                        if end.get("resumable"):
-                            raise JobInterrupted(
-                                f"job {self.job_id} interrupted by a daemon "
-                                f"drain or shutdown; resubmit it to resume"
-                            )
-                        if end["status"] == JobStatus.FAILED.value:
-                            raise JobFailed(end.get("error") or "job failed")
+                # Resume past the events already yielded; the daemon
+                # replays its buffer from any index.
+                for frame in self._frames(delivered, None):
+                    if "end" in frame:
+                        try:
+                            _outcome(self.job_id, frame["end"])
+                        except JobCancelled:
+                            pass  # a cancelled job's stream just ends
                         return
-                finally:
-                    if sock is not None:
-                        sock.close()
-            except (TimeoutError, JobInterrupted):
-                # The daemon's own Timeout answer and an interrupted
-                # job's end frame (OSError subclasses both) are
-                # verdicts, not a torn stream: never reconnect on them.
+                    yield event_from_wire(frame["event"])
+                    delivered += 1
+                    reconnects_left = STREAM_RECONNECTS  # progress
+            except JobInterrupted:
+                # An interrupted job's end frame (an OSError subclass)
+                # is a verdict, not a torn stream: never reconnect.
                 raise
             except (ProtocolError, OSError) as exc:
                 # A torn stream — daemon restart, dropped or truncated
@@ -350,7 +376,7 @@ class RemoteJobHandle:
         drives it regardless); False on timeout.  ``timeout=0`` is a
         valid immediate poll ("finished yet?")."""
         try:
-            self._result_frame(timeout)
+            self.result(timeout)
         except TimeoutError:
             return False
         except (JobFailed, JobCancelled, RuntimeError):
@@ -363,16 +389,7 @@ class RemoteJobHandle:
         traceback), :class:`JobCancelled`, or :class:`TimeoutError` —
         a timeout leaves the job running on the daemon.  ``timeout=0``
         is a valid immediate poll (result now or TimeoutError)."""
-        reply = self._result_frame(timeout)
-        return decode_payload(reply["result"])
-
-    def _result_frame(self, timeout: float | None):
-        # The daemon waits server-side for `timeout`; the socket read
-        # must outlive that wait by the shared transit grace.
-        return self.client._request(
-            {"op": "result", "job_id": self.job_id, "timeout": timeout},
-            timeout=_server_wait_grace(timeout),
-        )
+        return _outcome(self.job_id, self._read(None, timeout)[1])
 
     def cancel(self) -> bool:
         """Cancel at the next task boundary; finished tasks stay

@@ -63,6 +63,25 @@ Architecture
   killed daemon's half-finished calibration costs the next one only
   its recompute.
 
+The wire
+========
+
+A connection carries request frames (:mod:`~repro.service.protocol`)
+for seven ops — ``submit``, ``status``, ``jobs``, ``ping``, ``cancel``,
+``drain`` and ``events`` — each answered on the same connection; a
+refused request gets one ``{"ok": false, "kind", "error"}`` frame.
+``events`` is the one read of a job, serving its stream, its bounded
+poll and its result alike: ``{"op": "events", "job_id", "start",
+"timeout"}`` sends an ``{"event": ...}`` frame per event from index
+``start`` (None: none) as the events land, until the job is over or
+``timeout`` seconds have passed (None: no limit; 0: answer now), then
+one ``{"end": {"status", "n_events", "error", "result"}}`` frame —
+``result`` is a completed job's pickled result, and a job a drain or
+shutdown left resumable adds ``"resumable": true``.  Every read is
+served from the job's one :class:`~repro.service.service.JobHandle`:
+its event log, and once the job is COMPLETED its result, each encoded
+as it is sent.
+
 Execution reuses the service layer wholesale: :class:`_FleetService`
 overrides only *where* tasks run (the persistent fleet instead of a
 fleet private to the job, and never inline — not even work one task
@@ -161,10 +180,7 @@ class _FleetService(FoundryService):
         return TaskContext(
             backend=backend,
             store_path=store_path,
-            tenant=self._tenant.name,
-            meter_path=str(self._daemon.meter_path(self._tenant.name)),
-            max_queries=self._tenant.max_queries,
-            max_queries_per_minute=self._tenant.max_queries_per_minute,
+            meter=self._daemon.tenant_meter(self._tenant.name),
         )
 
 
@@ -174,23 +190,26 @@ class _FleetService(FoundryService):
 
 
 class DaemonJob:
-    """One submitted job's server-side record: the in-process handle,
-    the wire-encoded event log, and a condition variable every
-    connection handler waits on."""
+    """One submitted job's server-side record: the in-process handle
+    whose log and result every read serves, the job's status, and a
+    condition variable every read waits on."""
 
     def __init__(self, job_id: str, tenant: TenantConfig, job, handle):
         self.job_id = job_id
         self.tenant = tenant
         self.job = job
         self.handle = handle  # None for a terminal stub loaded at restart
-        self.status = JobStatus.PENDING if handle is not None else None
-        self.events: list[dict] = []
-        self.result_text: str | None = None
+        self.status = JobStatus.PENDING  # a stub's is set at load
         self.error: str | None = None
         self.cond = threading.Condition()
         self.cancel_requested = False
         self.drain_cancelled = False
         self.admitted = False
+
+    def events(self) -> list:
+        """The events delivered so far (a stub from a previous daemon
+        life kept none)."""
+        return self.handle.events() if self.handle is not None else []
 
     def interrupted(self) -> bool:
         """Cancelled by a drain: resumable, never terminal on the wire."""
@@ -357,7 +376,6 @@ class FoundryDaemon:
             active = [
                 djob for djob in self._jobs.values()
                 if djob.admitted and djob.status not in TERMINAL_STATUSES
-                and djob.status is not None
             ]
         if drain_cancel:
             for djob in active:
@@ -560,18 +578,12 @@ class FoundryDaemon:
         error = None
         status = JobStatus.FAILED
         try:
-            for event in handle.stream():
-                wire = event_to_wire(event)
+            for _ in handle.stream():
                 with djob.cond:
-                    djob.events.append(wire)
                     djob.cond.notify_all()
                 if djob.cancel_requested:
                     handle.cancel()
-            if handle.status() is JobStatus.CANCELLED:
-                status = JobStatus.CANCELLED
-            else:
-                djob.result_text = encode_payload(handle.result())
-                status = JobStatus.COMPLETED
+            status = handle.status()  # COMPLETED, or CANCELLED
         except JobFailed as exc:
             error = str(exc)
         except BaseException as exc:
@@ -600,7 +612,7 @@ class FoundryDaemon:
         djob = self._job(job_id)
         finish_now = False
         with djob.cond:
-            if djob.status in TERMINAL_STATUSES or djob.status is None:
+            if djob.status in TERMINAL_STATUSES:
                 return False
             djob.cancel_requested = True
             if drain:
@@ -678,7 +690,7 @@ class FoundryDaemon:
             send_frame(conn, {
                 "ok": True,
                 "status": djob.status.value,
-                "n_events": len(djob.events),
+                "n_events": len(djob.events()),
                 "error": djob.error,
                 "tenant": djob.tenant.name,
             })
@@ -688,8 +700,8 @@ class FoundryDaemon:
             jobs = {
                 jid: {
                     "tenant": djob.tenant.name,
-                    "status": djob.status.value if djob.status else "unknown",
-                    "n_events": len(djob.events),
+                    "status": djob.status.value,
+                    "n_events": len(djob.events()),
                 }
                 for jid, djob in self._jobs.items()
             }
@@ -719,105 +731,75 @@ class FoundryDaemon:
         })
 
     def _op_events(self, conn, frame) -> None:
-        """Stream the job's event log from ``start``, then an ``end``
-        frame with the terminal status (buffer-replay: every consumer
-        sees the full log, matching ``JobHandle.stream()``).  A job a
-        drain left resumable, and any stream still open when the daemon
-        stops, ends with ``"resumable": true`` instead — the job is not
-        over, and a daemon restarted on the same root resumes it.  A
-        ``start`` that is not a non-negative integer gets an error frame
-        (a negative one would slice the log from its end)."""
+        """The one read of a job: send the events from index ``start``
+        as they land (``start`` None: none), until the job is over or
+        ``timeout`` seconds have passed (None: no limit; 0 or less:
+        answer now), then one ``end`` frame with the job's status, its
+        event count, its error and, for a completed job, its result.
+
+        Every consumer replays the log from any index, matching
+        ``JobHandle.stream()``.  A job a drain left resumable, and any
+        read still open when the daemon stops, ends with
+        ``"resumable": true`` instead: the job is not over, and a daemon
+        restarted on the same root resumes it.  A ``start`` that is not
+        a non-negative integer (a negative one would slice the log from
+        its end) or a ``timeout`` that is not a number gets an error
+        frame."""
         djob = self._job(frame["job_id"])
-        i = frame.get("start", 0)
-        if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+        sent = frame.get("start", 0)
+        if sent is not None and (
+            not isinstance(sent, int) or isinstance(sent, bool) or sent < 0
+        ):
             raise ValueError(
-                f"start must be a non-negative integer, got {i!r}"
+                f"start must be a non-negative integer, got {sent!r}"
             )
+        timeout = frame.get("timeout")
+        if timeout is not None and (
+            not isinstance(timeout, (int, float)) or isinstance(timeout, bool)
+        ):
+            raise ValueError(f"timeout must be a number, got {timeout!r}")
+        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             with djob.cond:
-                if len(djob.events) <= i and not self._stop_event.is_set() \
-                        and djob.status not in TERMINAL_STATUSES \
-                        and djob.status is not None:
-                    djob.cond.wait(timeout=POLL_SECONDS)
-                batch = list(djob.events[i:])
-                done = (
-                    djob.status in TERMINAL_STATUSES or djob.status is None
+                while True:
+                    log = djob.events()
+                    fresh = [] if sent is None else log[sent:]
+                    status = djob.status
+                    stopping = self._stop_event.is_set()
+                    remaining = (
+                        None if deadline is None
+                        else deadline - time.monotonic()
+                    )
+                    over = status in TERMINAL_STATUSES or stopping or (
+                        remaining is not None and remaining <= 0
+                    )
+                    if fresh or over:
+                        break
+                    djob.cond.wait(POLL_SECONDS if remaining is None
+                                   else min(POLL_SECONDS, remaining))
+                if over:
+                    end = {
+                        "status": status.value,
+                        "n_events": len(log),
+                        "error": djob.error,
+                    }
+                    if djob.interrupted() or (
+                        stopping and status not in TERMINAL_STATUSES
+                    ):
+                        end["resumable"] = True
+            for event in fresh:
+                send_frame(conn, {"event": event_to_wire(event)})
+            if over:
+                # A COMPLETED record's result never changes again; a
+                # stub from a previous daemon life kept none.
+                end["result"] = (
+                    encode_payload(djob.handle.result())
+                    if status is JobStatus.COMPLETED
+                    and djob.handle is not None else None
                 )
-                status = djob.status
-                error = djob.error
-                result_text = djob.result_text
-                interrupted = djob.interrupted()
-            for wire in batch:
-                send_frame(conn, {"event": wire})
-            i += len(batch)
-            stopping = self._stop_event.is_set()
-            if (done or stopping) and not batch:
-                end = {
-                    "status": status.value if status else "unknown",
-                    "error": error,
-                    "result": result_text,
-                }
-                if interrupted or (stopping and not done):
-                    end["resumable"] = True
                 send_frame(conn, {"end": end})
                 return
-
-    def _op_result(self, conn, frame) -> None:
-        djob = self._job(frame["job_id"])
-        timeout = frame.get("timeout")
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with djob.cond:
-            while djob.status not in TERMINAL_STATUSES \
-                    and djob.status is not None:
-                if self._stop_event.is_set():
-                    send_frame(conn, {
-                        "ok": False, "kind": "DaemonUnavailable",
-                        "error": "daemon is shutting down",
-                    })
-                    return
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    send_frame(conn, {
-                        "ok": False, "kind": "Timeout",
-                        "status": djob.status.value,
-                        "n_events": len(djob.events),
-                    })
-                    return
-                djob.cond.wait(timeout=POLL_SECONDS if remaining is None
-                               else min(POLL_SECONDS, remaining))
-            status = djob.status
-            error = djob.error
-            result_text = djob.result_text
-            n_events = len(djob.events)
-            interrupted = djob.interrupted()
-        if status is JobStatus.COMPLETED:
-            if result_text is None:  # terminal stub from a previous life
-                send_frame(conn, {
-                    "ok": False, "kind": "RuntimeError",
-                    "error": "result not retained across a daemon restart; "
-                             "resubmit the job to replay it from its journal",
-                })
-                return
-            send_frame(conn, {"ok": True, "result": result_text})
-        elif interrupted:
-            send_frame(conn, {
-                "ok": False, "kind": "DaemonUnavailable",
-                "error": "job interrupted by a daemon drain; it resumes "
-                         "from its journal on a daemon restarted on the "
-                         "same root",
-            })
-        elif status is JobStatus.CANCELLED:
-            send_frame(conn, {
-                "ok": False, "kind": "JobCancelled",
-                "error": f"job cancelled after {n_events} completed tasks",
-            })
-        else:
-            send_frame(conn, {
-                "ok": False, "kind": "JobFailed",
-                "error": error or "job failed",
-            })
+            sent += len(fresh)
 
     def _op_cancel(self, conn, frame) -> None:
         cancelled = self.cancel_job(frame["job_id"])

@@ -54,7 +54,11 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from repro.service.client import DaemonClient, DaemonUnavailableError
+from repro.service.client import (
+    DaemonClient,
+    DaemonUnavailableError,
+    _outcome,
+)
 from repro.service.jobs import (
     CampaignJob,
     ExperimentJob,
@@ -470,44 +474,44 @@ class _HTTPHandler(BaseHTTPRequestHandler):
         })
 
     def _get_events(self, job_id: str, query) -> None:
-        """Poll events from ``start``: a *bounded* read
-        (:meth:`~repro.service.client.RemoteJobHandle.events`), never a
-        long-poll — an untrusted client gets an answer and comes back.
-        The status is read first, so a terminal status comes with every
-        event the job will ever have."""
+        """Poll events from ``start``: one *bounded* daemon read (the
+        read :meth:`~repro.service.client.RemoteJobHandle.events`
+        makes, answered at once), never a long-poll — an untrusted
+        client gets an answer and comes back.  The status comes from
+        the same read's ``end`` frame, so a terminal status comes with
+        every event the job will ever have."""
         try:
             start = int(query.get("start", "0"))
         except ValueError:
             raise SchemaError("start must be an integer") from None
         _require(start >= 0, "start must be >= 0")
-        client = self._client()
-        status = client._request({"op": "status", "job_id": job_id})
-        events = client.handle(job_id).events(start)
+        events, end = self._client().handle(job_id)._read(start, 0)
         self._reply(200, {
             "job_id": job_id,
             "start": start,
             "events": [event_to_json(event) for event in events],
             "next": start + len(events),
-            "status": status["status"],
+            "status": end["status"],
         })
 
     def _get_result(self, job_id: str, query) -> None:
+        """The job's result, waiting up to ``timeout`` seconds (capped
+        at the frontend's ``max_wait``) in one daemon read; 202 with
+        the status and event count from that read's ``end`` frame while
+        the job is still pending or running."""
         try:
             timeout = float(query.get("timeout", "0"))
         except ValueError:
             raise SchemaError("timeout must be a number") from None
         timeout = max(0.0, min(timeout, self.frontend.max_wait))
-        handle = self._client().handle(job_id)
+        _, end = self._client().handle(job_id)._read(None, timeout)
         try:
-            result = handle.result(timeout=timeout)
+            result = _outcome(job_id, end)
         except TimeoutError:
-            status = self._client()._request(
-                {"op": "status", "job_id": job_id}
-            )
             self._reply(202, {
                 "job_id": job_id,
-                "status": status["status"],
-                "n_events": status["n_events"],
+                "status": end["status"],
+                "n_events": end["n_events"],
             })
             return
         self._reply(200, {

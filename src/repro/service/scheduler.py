@@ -93,6 +93,7 @@ from repro.service.jobs import (
     task_timeout_seconds,
     validate_worker_count,
 )
+from repro.service.tenants import TenantMeter
 
 #: Seconds between worker-liveness checks while awaiting results.
 POLL_SECONDS = 0.2
@@ -217,29 +218,18 @@ class ExperimentTask:
 @dataclass(frozen=True)
 class TaskContext:
     """What a task runs under: the job's engine backend and shared
-    calibration store, plus the tenant's meter, which only daemon jobs
-    carry.  A field left None keeps the process's setting."""
+    calibration store, plus the tenant's
+    :class:`~repro.service.tenants.TenantMeter`, which only daemon jobs
+    carry.  A field left None keeps the process's setting.
+
+    The meter is one file-backed count seen through two objects: the
+    parent settles each task's charges through the context's own meter,
+    and every dispatch pickles the context, so the worker charges — and
+    opens the task's reservation — through a fresh copy per task."""
 
     backend: str | None = None
     store_path: str | None = None
-    tenant: str = "default"
-    meter_path: str | None = None
-    max_queries: int | None = None
-    max_queries_per_minute: float | None = None
-
-    def meter(self):
-        """The tenant meter this context charges, or None (parent and
-        worker build their own views of the same file-backed count)."""
-        if self.meter_path is None:
-            return None
-        from repro.service.tenants import TenantMeter
-
-        return TenantMeter(
-            self.meter_path,
-            self.max_queries,
-            tenant=self.tenant,
-            max_per_minute=self.max_queries_per_minute,
-        )
+    meter: TenantMeter | None = None
 
     @contextmanager
     def applied(self, memo: dict | None = None):
@@ -265,7 +255,7 @@ class TaskContext:
         backend, store = engine.backend, engine.calibration_store
         previous_memo = engine.measurement_memo
         previous_meter = current_tenant_meter()
-        meter = self.meter()
+        meter = self.meter
         try:
             with blas_pinned():
                 if self.backend is not None:
@@ -613,16 +603,14 @@ class WorkerFleet:
         item, slot.item = slot.item, None
         self._barren_respawns = 0
         if item is not None:
-            meter = item.context.meter()
-            if meter is not None:
-                meter.commit_task(item.task_id)
+            if item.context.meter is not None:
+                item.context.meter.commit_task(item.task_id)
             self._attempts.pop(item.task_id, None)
         self._deliver(ticket, (kind, task, payload, seconds, error))
 
     def _rollback(self, item: _FleetItem) -> None:
-        meter = item.context.meter()
-        if meter is not None:
-            meter.rollback_task(item.task_id)
+        if item.context.meter is not None:
+            item.context.meter.rollback_task(item.task_id)
 
     def _reclaim(self, slot, note: str) -> _FleetItem | None:
         """A dead or hung worker's item: roll back its partial tenant

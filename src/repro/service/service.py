@@ -92,11 +92,9 @@ def plan_campaign_tasks(todo, store, n_workers: int):
     from repro.campaigns.campaign import cell_triples as triples_of
 
     cell_triples = {index: triples_of(cell) for index, cell in todo}
-    triples = sorted(set().union(*cell_triples.values())) if cell_triples else []
-    missing = [
-        t for t, hit in zip(triples, store.get_many(triples))
-        if hit is None
-    ]
+    missing = store.missing(
+        sorted(set().union(*cell_triples.values())) if cell_triples else []
+    )
     for index in cell_triples:
         cell_triples[index] &= set(missing)
     cell_tasks = [CellTask(index, cell) for index, cell in todo]
@@ -448,11 +446,13 @@ class FoundryService:
         """One ``"provision"`` event per sub-lot: one sub-lot runs
         in-process as one lockstep pass, more run on a fleet."""
         store = CalibrationStore(job.calibration_store)
-        triples = sorted({tuple(t) for t in job.triples})
-        missing = [
-            t for t, hit in zip(triples, store.get_many(triples))
-            if hit is None
-        ]
+        # Every die is read twice, here and again by the provisioning
+        # task (`provision_fleet`), and both reads stay: this one sizes
+        # the sub-lots by the missing dies and starts no fleet when none
+        # is missing; the task's lets a retried sub-lot skip the dies
+        # its killed attempt already stored.  Campaigns plan the same
+        # way (`plan_campaign_tasks`).
+        missing = store.missing(sorted({tuple(t) for t in job.triples}))
         if not missing:
             return 0
         tasks = provisioning_tasks(missing, n_workers)

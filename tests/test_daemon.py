@@ -626,10 +626,50 @@ class TestDaemonLifecycle:
                 proc.kill()  # the fleet respawns it and retries the cell
         assert len(handle.result(timeout=600).reports) == 3
 
+    def test_events_polls_leave_no_daemon_thread(self, daemon_factory):
+        """Each ``events()`` poll is one read the daemon answers and
+        finishes at once, so polling a running job leaves no connection
+        thread behind to wait for the job's next event."""
+        from repro import faults
+
+        standing = faults.active()  # restore any suite-wide chaos plan
+        faults.install(faults.parse_spec("task.hang:at=2"))
+        try:
+            daemon = daemon_factory("polls", n_workers=1)
+        finally:
+            faults.install(standing)
+        client = DaemonClient(socket=daemon.address)
+        handle = client.submit(CampaignJob(cells=oracle_cells(3),
+                                           n_workers=1))
+
+        def conn_threads() -> int:
+            return sum(1 for thread in threading.enumerate()
+                       if thread.name.endswith("(_serve_conn)"))
+
+        deadline = time.monotonic() + 120
+        while client.jobs()["jobs"][handle.job_id]["n_events"] < 1:
+            assert time.monotonic() < deadline, "first cell never finished"
+            time.sleep(0.05)
+        try:
+            before = conn_threads()
+            for _ in range(20):
+                assert len(handle.events()) == 1
+            deadline = time.monotonic() + 2.0
+            while conn_threads() > before and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert conn_threads() <= before
+        finally:
+            for proc in daemon.fleet.workers:
+                proc.kill()  # the fleet respawns it and retries the cell
+        assert len(handle.result(timeout=600).reports) == 3
+
     def test_events_refuses_a_negative_start(self, daemon_factory):
         """A negative ``start`` would slice the event log from its end
-        and replay events out of order; the daemon answers an error
-        frame instead, as the HTTP door refuses a bad ``?start=``."""
+        and replay events out of order, and a ``timeout`` that is not a
+        number bounds nothing; the daemon answers an error frame
+        instead, as the HTTP door refuses a bad ``?start=``."""
+        from repro.service.protocol import connect
+
         daemon = daemon_factory("start", n_workers=1)
         client = DaemonClient(socket=daemon.address)
         handle = client.submit(CampaignJob(cells=oracle_cells(3),
@@ -637,6 +677,16 @@ class TestDaemonLifecycle:
         handle.result(timeout=600)
         with pytest.raises(ValueError, match="non-negative integer"):
             handle.events(-1)
+        sock = connect(daemon.address, timeout=10)
+        try:
+            sock.settimeout(10)
+            send_frame(sock, {"op": "events", "job_id": handle.job_id,
+                              "start": 0, "timeout": "soon"})
+            reply = recv_frame(sock)
+        finally:
+            sock.close()
+        assert reply["ok"] is False and reply["kind"] == "ValueError"
+        assert "timeout must be a number" in reply["error"]
         assert [e.index for e in handle.events(1)] == [1, 2]
 
     def test_stop_removes_a_relative_socket_with_a_colon(

@@ -12,6 +12,7 @@ import socket as socket_module
 import subprocess
 import sys
 import tempfile
+import time
 import urllib.error
 import urllib.request
 import uuid
@@ -422,6 +423,70 @@ class TestHTTPFacade:
             f"/v1/jobs/{job_id}/events?start={page['next']}",
         )
         assert status == 200 and rest["events"] == []
+
+    def test_each_job_read_is_one_daemon_round_trip(self, daemon_factory):
+        """``/events`` and ``/result`` each make one daemon read and take
+        the status from its end frame, on a running job (pinned
+        mid-flight: the one worker freezes on its second task) and on
+        a finished one."""
+        from repro import faults
+
+        standing = faults.active()  # restore any suite-wide chaos plan
+        faults.install(faults.parse_spec("task.hang:at=2"))
+        try:
+            daemon = daemon_factory("reads", n_workers=1)
+        finally:
+            faults.install(standing)
+        served = []
+        serve_conn = daemon._serve_conn
+
+        def counting(conn):  # _accept_loop looks it up per connection
+            served.append(conn)
+            serve_conn(conn)
+
+        daemon._serve_conn = counting
+        front = FoundryHTTPFrontend(backend=daemon.address, max_wait=120.0)
+        front.start()
+
+        def connections(path):
+            served.clear()
+            status, reply = http_request(front.address, "GET", path)
+            return status, reply, len(served)
+
+        try:
+            _, reply = http_request(
+                front.address, "POST", "/v1/jobs", {"job": CAMPAIGN_JSON}
+            )
+            job = f"/v1/jobs/{reply['job_id']}"
+            try:
+                deadline = time.monotonic() + 120
+                while http_request(
+                    front.address, "GET", job
+                )[1]["n_events"] < 1:
+                    assert time.monotonic() < deadline, "first cell never ran"
+                    time.sleep(0.05)
+                status, page, n = connections(f"{job}/events?start=0")
+                assert (status, page["status"], len(page["events"]), n) == (
+                    200, "running", 1, 1
+                )
+                status, body, n = connections(f"{job}/result?timeout=0")
+                assert (status, body["status"], body["n_events"], n) == (
+                    202, "running", 1, 1
+                )
+            finally:
+                for proc in daemon.fleet.workers:
+                    proc.kill()  # the fleet respawns it, retries the cell
+            assert http_request(
+                front.address, "GET", f"{job}/result?timeout=115"
+            )[0] == 200
+            status, page, n = connections(f"{job}/events")
+            assert (status, page["status"], page["next"], n) == (
+                200, "completed", 2, 1
+            )
+            status, body, n = connections(f"{job}/result")
+            assert (status, body["status"], n) == (200, "completed", 1)
+        finally:
+            front.stop()
 
     def test_schema_refusals_are_400(self, frontend):
         cases = [
