@@ -27,7 +27,7 @@ for the events from ``start`` and an answer at once,
 once the job is over or ``timeout`` has passed, and ``stream()`` for
 every event from the last one it yielded until the job is over.  The
 read's ``end`` frame maps to the in-process handle's outcome through
-one function.
+one function; ``wait`` decodes only its status (a torn read raises).
 
 Defaults come from the environment: ``REPRO_SERVICE_SOCKET`` names the
 daemon address, ``REPRO_SERVICE_TENANT`` the tenant to submit under.
@@ -38,7 +38,12 @@ from __future__ import annotations
 import os
 import time
 
-from repro.service.jobs import JobCancelled, JobFailed, JobStatus
+from repro.service.jobs import (
+    JobCancelled,
+    JobFailed,
+    JobStatus,
+    TERMINAL_STATUSES,
+)
 from repro.service.protocol import (
     ProtocolError,
     SERVICE_SOCKET_ENV,
@@ -374,14 +379,12 @@ class RemoteJobHandle:
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the job reaches a terminal status (the daemon
         drives it regardless); False on timeout.  ``timeout=0`` is a
-        valid immediate poll ("finished yet?")."""
-        try:
-            self.result(timeout)
-        except TimeoutError:
-            return False
-        except (JobFailed, JobCancelled, RuntimeError):
-            return True
-        return True
+        valid immediate poll ("finished yet?").  One read, as
+        :meth:`result` makes, whose result is never decoded."""
+        end = self._read(None, timeout)[1]
+        if end.get("resumable"):
+            _outcome(self.job_id, end)  # raises JobInterrupted
+        return JobStatus(end["status"]) in TERMINAL_STATUSES
 
     def result(self, timeout: float | None = None):
         """Block for the job's result.  Raises exactly like the

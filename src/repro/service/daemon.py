@@ -20,7 +20,9 @@ Architecture
   single-threaded — the same fork-safety argument as the engine
   kernel's per-call thread teams.  Only then do the service threads
   start (socket accept, one connection handler per client, one runner
-  per admitted job).  A worker *respawned* after a crash necessarily
+  per admitted job, which only drives the job's one
+  :class:`~repro.service.service.JobHandle`, the record of its whole
+  lifecycle).  A worker *respawned* after a crash necessarily
   forks from the threaded daemon (the trade every
   ``multiprocessing.Pool`` makes); the daemon process never runs a
   task itself, so what the replacement inherits is the same pristine
@@ -77,10 +79,10 @@ poll and its result alike: ``{"op": "events", "job_id", "start",
 ``timeout`` seconds have passed (None: no limit; 0: answer now), then
 one ``{"end": {"status", "n_events", "error", "result"}}`` frame —
 ``result`` is a completed job's pickled result, and a job a drain or
-shutdown left resumable adds ``"resumable": true``.  Every read is
-served from the job's one :class:`~repro.service.service.JobHandle`:
-its event log, and once the job is COMPLETED its result, each encoded
-as it is sent.
+shutdown left resumable adds ``"resumable": true``.  Every read takes
+the job's status, error, log and result from its handle, waiting on
+the handle's condition, and a waiting read ends once its client hangs
+up.
 
 Execution reuses the service layer wholesale: :class:`_FleetService`
 overrides only *where* tasks run (the persistent fleet instead of a
@@ -109,9 +111,9 @@ from pathlib import Path
 
 from repro.service.jobs import (
     CampaignJob,
-    JobFailed,
     JobStatus,
     ProvisioningJob,
+    TERMINAL_STATUSES,
     default_worker_count,
     validate_job,
     validate_worker_count,
@@ -131,12 +133,19 @@ from repro.service.scheduler import POLL_SECONDS, TaskContext, WorkerFleet
 from repro.service.service import FoundryService
 from repro.service.tenants import TenantConfig, TenantMeter, TokenBucket
 
-#: Job statuses that will never change again.
-TERMINAL_STATUSES = (JobStatus.COMPLETED, JobStatus.FAILED, JobStatus.CANCELLED)
-
 
 class DaemonUnavailable(RuntimeError):
     """The daemon refused the request (draining or shutting down)."""
+
+
+def _hung_up(conn) -> bool:
+    """Whether the client closed ``conn``: a peek that does not block
+    reads end-of-file (BlockingIOError: nothing sent, still there)."""
+    try:
+        flags = socket_module.MSG_PEEK | socket_module.MSG_DONTWAIT
+        return conn.recv(1, flags) == b""
+    except BlockingIOError:
+        return False
 
 
 def derive_job_id(tenant: str, job) -> str:
@@ -190,30 +199,40 @@ class _FleetService(FoundryService):
 
 
 class DaemonJob:
-    """One submitted job's server-side record: the in-process handle
-    whose log and result every read serves, the job's status, and a
-    condition variable every read waits on."""
+    """One submitted job's server-side record: its tenant and its
+    admission and drain flags.  The status, error, log and result live
+    in the job's :class:`~repro.service.service.JobHandle`; a stub
+    loaded at restart has only its terminal marker's status and error."""
 
-    def __init__(self, job_id: str, tenant: TenantConfig, job, handle):
+    def __init__(self, job_id: str, tenant: TenantConfig, handle,
+                 marker=None):
         self.job_id = job_id
         self.tenant = tenant
-        self.job = job
         self.handle = handle  # None for a terminal stub loaded at restart
-        self.status = JobStatus.PENDING  # a stub's is set at load
-        self.error: str | None = None
-        self.cond = threading.Condition()
-        self.cancel_requested = False
+        self.marker = marker  # a stub's (status, error)
         self.drain_cancelled = False
         self.admitted = False
 
-    def events(self) -> list:
-        """The events delivered so far (a stub from a previous daemon
-        life kept none)."""
-        return self.handle.events() if self.handle is not None else []
+    def read(self, seen: int | None = None, timeout: float = 0.0):
+        """``(status, events, error)`` read together from the handle
+        once the job is over or, ``seen`` given, has more events than
+        that, or once ``timeout`` seconds have passed."""
+        if self.handle is None:
+            return self.marker[0], [], self.marker[1]
+        handle = self.handle
+        with handle.cond:
+            handle.cond.wait_for(
+                lambda: handle.status() in TERMINAL_STATUSES
+                or seen is not None and len(handle.events()) > seen,
+                timeout,
+            )
+            error = None if handle.error is None else str(handle.error)
+            return handle.status(), handle.events(), error
 
     def interrupted(self) -> bool:
         """Cancelled by a drain: resumable, never terminal on the wire."""
-        return self.drain_cancelled and self.status is JobStatus.CANCELLED
+        return self.drain_cancelled \
+            and self.handle.status() is JobStatus.CANCELLED
 
 
 class FoundryDaemon:
@@ -374,8 +393,7 @@ class FoundryDaemon:
         with self._lock:
             self._draining = True
             active = [
-                djob for djob in self._jobs.values()
-                if djob.admitted and djob.status not in TERMINAL_STATUSES
+                djob for djob in self._jobs.values() if djob.admitted
             ]
         if drain_cancel:
             for djob in active:
@@ -408,7 +426,7 @@ class FoundryDaemon:
             return self._state_cond.wait_for(
                 lambda: self._active == 0
                 and not any(
-                    djob.status is JobStatus.PENDING
+                    djob.read()[0] is JobStatus.PENDING
                     for djob in self._jobs.values()
                 ),
                 timeout=timeout,
@@ -446,7 +464,8 @@ class FoundryDaemon:
             jid = job_id or derive_job_id(tenant.name, job)
             existing = self._jobs.get(jid)
             if existing is not None and existing.handle is not None and (
-                existing.status not in (JobStatus.CANCELLED, JobStatus.FAILED)
+                existing.handle.status()
+                not in (JobStatus.CANCELLED, JobStatus.FAILED)
             ):
                 return existing, True
             if not rate_exempt:
@@ -455,7 +474,7 @@ class FoundryDaemon:
                     bucket.take(1.0)
             prepared = self._prepare(jid, job)
             handle = _FleetService(self, tenant).submit(prepared)
-            djob = DaemonJob(jid, tenant, prepared, handle)
+            djob = DaemonJob(jid, tenant, handle)
             self._jobs[jid] = djob
             self._persist(jid, tenant.name, job)
             heapq.heappush(
@@ -506,10 +525,11 @@ class FoundryDaemon:
             pass
 
     def _write_terminal(self, djob: DaemonJob) -> None:
+        status, _, error = djob.read()
         marker = self.job_dir(djob.job_id) / "terminal.json"
         tmp = marker.with_suffix(".tmp")
         tmp.write_text(json.dumps(
-            {"status": djob.status.value, "error": djob.error}
+            {"status": status.value, "error": error}
         ))
         os.replace(tmp, marker)
 
@@ -536,11 +556,9 @@ class FoundryDaemon:
                 if terminal_path.is_file():
                     terminal = json.loads(terminal_path.read_text())
                     stub = DaemonJob(
-                        meta["job_id"], self.tenant(meta["tenant"]),
-                        None, None,
+                        meta["job_id"], self.tenant(meta["tenant"]), None,
+                        (JobStatus(terminal["status"]), terminal.get("error")),
                     )
-                    stub.status = JobStatus(terminal["status"])
-                    stub.error = terminal.get("error")
                     with self._lock:
                         self._jobs[meta["job_id"]] = stub
                     continue
@@ -559,8 +577,8 @@ class FoundryDaemon:
         while self._queue and self._active < self.max_active:
             _, _, jid = heapq.heappop(self._queue)
             djob = self._jobs.get(jid)
-            if djob is None or djob.status is not JobStatus.PENDING \
-                    or djob.admitted:
+            if djob is None or djob.admitted \
+                    or djob.handle.status() is not JobStatus.PENDING:
                 continue
             djob.admitted = True
             self._active += 1
@@ -570,29 +588,9 @@ class FoundryDaemon:
             ).start()
 
     def _run_job(self, djob: DaemonJob) -> None:
-        handle = djob.handle
-        with djob.cond:
-            if not djob.cancel_requested:
-                djob.status = JobStatus.RUNNING
-            djob.cond.notify_all()
-        error = None
-        status = JobStatus.FAILED
-        try:
-            for _ in handle.stream():
-                with djob.cond:
-                    djob.cond.notify_all()
-                if djob.cancel_requested:
-                    handle.cancel()
-            status = handle.status()  # COMPLETED, or CANCELLED
-        except JobFailed as exc:
-            error = str(exc)
-        except BaseException as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        with djob.cond:
-            djob.status = status
-            djob.error = error
-            djob.cond.notify_all()
-        if not (status is JobStatus.CANCELLED and djob.drain_cancelled):
+        """Drive the job to its end; its handle keeps the outcome."""
+        djob.handle.wait()
+        if not djob.interrupted():
             self._write_terminal(djob)
         with self._lock:
             self._active -= 1
@@ -607,23 +605,21 @@ class FoundryDaemon:
         return djob
 
     def cancel_job(self, job_id: str, drain: bool = False) -> bool:
-        """Cancel at the next task boundary; finished tasks stay
-        journaled.  Returns False when the job had already finished."""
+        """Cancel through the job's handle, queued or running, at the
+        next task boundary; finished tasks stay journaled.  Returns
+        False when the job had already finished."""
         djob = self._job(job_id)
-        finish_now = False
-        with djob.cond:
-            if djob.status in TERMINAL_STATUSES:
+        if djob.handle is None:
+            return False  # a stub: terminal in a previous daemon life
+        # No admission interleaves, and no reader sees CANCELLED
+        # before the drain flag is set.
+        with self._lock, djob.handle.cond:
+            if not djob.handle.cancel():
                 return False
-            djob.cancel_requested = True
             if drain:
                 djob.drain_cancelled = True
-            if not djob.admitted:
-                # Still queued: no runner thread will report for it.
-                djob.handle.cancel()
-                djob.status = JobStatus.CANCELLED
-                djob.cond.notify_all()
-                finish_now = True
-        if finish_now:
+            unreported = not djob.admitted  # no runner will report it
+        if unreported:
             if not drain:
                 self._write_terminal(djob)
             with self._lock:
@@ -686,25 +682,25 @@ class FoundryDaemon:
 
     def _op_status(self, conn, frame) -> None:
         djob = self._job(frame["job_id"])
-        with djob.cond:
-            send_frame(conn, {
-                "ok": True,
-                "status": djob.status.value,
-                "n_events": len(djob.events()),
-                "error": djob.error,
-                "tenant": djob.tenant.name,
-            })
+        status, log, error = djob.read()
+        send_frame(conn, {
+            "ok": True,
+            "status": status.value,
+            "n_events": len(log),
+            "error": error,
+            "tenant": djob.tenant.name,
+        })
 
     def _op_jobs(self, conn, frame) -> None:
+        jobs = {}
         with self._lock:
-            jobs = {
-                jid: {
+            for jid, djob in self._jobs.items():
+                status, log, _ = djob.read()
+                jobs[jid] = {
                     "tenant": djob.tenant.name,
-                    "status": djob.status.value,
-                    "n_events": len(djob.events()),
+                    "status": status.value,
+                    "n_events": len(log),
                 }
-                for jid, djob in self._jobs.items()
-            }
         send_frame(conn, {"ok": True, "jobs": jobs, "draining": self._draining})
 
     def _op_ping(self, conn, frame) -> None:
@@ -760,36 +756,27 @@ class FoundryDaemon:
             raise ValueError(f"timeout must be a number, got {timeout!r}")
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            with djob.cond:
-                while True:
-                    log = djob.events()
-                    fresh = [] if sent is None else log[sent:]
-                    status = djob.status
-                    stopping = self._stop_event.is_set()
-                    remaining = (
-                        None if deadline is None
-                        else deadline - time.monotonic()
-                    )
-                    over = status in TERMINAL_STATUSES or stopping or (
-                        remaining is not None and remaining <= 0
-                    )
-                    if fresh or over:
-                        break
-                    djob.cond.wait(POLL_SECONDS if remaining is None
-                                   else min(POLL_SECONDS, remaining))
-                if over:
-                    end = {
-                        "status": status.value,
-                        "n_events": len(log),
-                        "error": djob.error,
-                    }
-                    if djob.interrupted() or (
-                        stopping and status not in TERMINAL_STATUSES
-                    ):
-                        end["resumable"] = True
+            wait = POLL_SECONDS if deadline is None else min(
+                POLL_SECONDS, deadline - time.monotonic()
+            )
+            status, log, error = djob.read(sent, wait)
+            fresh = [] if sent is None else log[sent:]
+            stopping = self._stop_event.is_set()
+            over = status in TERMINAL_STATUSES or stopping or (
+                deadline is not None and time.monotonic() >= deadline
+            )
             for event in fresh:
                 send_frame(conn, {"event": event_to_wire(event)})
             if over:
+                end = {
+                    "status": status.value,
+                    "n_events": len(log),
+                    "error": error,
+                }
+                if djob.interrupted() or (
+                    stopping and status not in TERMINAL_STATUSES
+                ):
+                    end["resumable"] = True
                 # A COMPLETED record's result never changes again; a
                 # stub from a previous daemon life kept none.
                 end["result"] = (
@@ -799,7 +786,10 @@ class FoundryDaemon:
                 )
                 send_frame(conn, {"end": end})
                 return
-            sent += len(fresh)
+            if fresh:
+                sent += len(fresh)
+            elif _hung_up(conn):
+                return  # the client closed its end: nobody will read
 
     def _op_cancel(self, conn, frame) -> None:
         cancelled = self.cancel_job(frame["job_id"])

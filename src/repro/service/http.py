@@ -320,8 +320,7 @@ class _HTTPHandler(BaseHTTPRequestHandler):
     # -- plumbing ---------------------------------------------------------
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if self.frontend.verbose:
-            super().log_message(format, *args)
+        """Silent: the facade writes no request log."""
 
     @property
     def frontend(self) -> "FoundryHTTPFrontend":
@@ -548,12 +547,10 @@ class FoundryHTTPFrontend:
         port: int = 0,
         tenant: str | None = None,
         max_wait: float = 60.0,
-        verbose: bool = False,
     ):
         self.backend = backend
         self.tenant = tenant
         self.max_wait = max_wait
-        self.verbose = verbose
         self._server = ThreadingHTTPServer((host, port), _HTTPHandler)
         self._server.daemon_threads = True
         self._server.frontend = self
@@ -581,9 +578,3 @@ class FoundryHTTPFrontend:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         self._server.server_close()
-
-    def serve_forever(self) -> None:
-        """Blocking entry point; :meth:`stop` from another thread ends
-        it.  The ``http`` CLI verb uses :meth:`start` instead, to stop
-        cleanly on SIGTERM."""
-        self._server.serve_forever(poll_interval=0.1)

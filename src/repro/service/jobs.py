@@ -64,6 +64,10 @@ class JobStatus(enum.Enum):
     CANCELLED = "cancelled"  #: cancelled; finished tasks stay journaled
 
 
+#: Job statuses that will never change again.
+TERMINAL_STATUSES = (JobStatus.COMPLETED, JobStatus.FAILED, JobStatus.CANCELLED)
+
+
 class JobFailed(RuntimeError):
     """A task of the job raised; the message names the failing task."""
 

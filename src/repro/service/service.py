@@ -17,9 +17,10 @@ starts) and returns a :class:`JobHandle`:
 * ``handle.cancel()`` — stop scheduling, reap the job's workers, keep
   everything already journaled.
 
-The handle's consumer drives the job.  Work one task wide (one
-worker, one unpartitioned cell, one provisioning sub-lot, the
-experiment registry) runs in-process — the ground truth every
+The handle's consumer drives the job; any thread may read, cancel or
+drive it, and drivers take turns one task at a time.  Work one task
+wide (one worker, one unpartitioned cell, one provisioning sub-lot,
+the experiment registry) runs in-process — the ground truth every
 differential compares against — through
 :func:`~repro.service.scheduler.run_inline`; the rest runs on a
 :class:`~repro.service.scheduler.WorkerFleet` private to the job,
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+import threading
 import time
 from contextlib import contextmanager
 
@@ -53,6 +55,7 @@ from repro.service.jobs import (
     JobFailed,
     JobStatus,
     ProvisioningJob,
+    TERMINAL_STATUSES,
     TaskEvent,
     default_worker_count,
     validate_job,
@@ -119,7 +122,9 @@ def plan_cell_partitions(todo):
 
 
 class JobHandle:
-    """Lifecycle handle of one submitted job (see module docstring)."""
+    """Lifecycle handle of one submitted job (see module docstring),
+    safe from any thread: ``cond`` is notified on every event and
+    status change, and a terminal status lands with its error and log."""
 
     def __init__(self, job, executor):
         self.job = job
@@ -127,9 +132,11 @@ class JobHandle:
         self._status = JobStatus.PENDING
         self._events: list[TaskEvent] = []
         self._result = None
-        self._error: JobFailed | None = None
+        self.error: JobFailed | None = None  # set when the job FAILED
         self._cancelled = False
-        self._gen = None
+        self._driving = False  # a thread is running the job's next task
+        self._gen = self._run()  # runs nothing until first driven
+        self.cond = threading.Condition()
 
     def status(self) -> JobStatus:
         """Where the job is in its lifecycle."""
@@ -142,37 +149,50 @@ class JobHandle:
     def _run(self):
         self._result = yield from self._executor()
 
-    def _advance(self) -> bool:
-        """Drive one task event; False when no more will come."""
-        if self._status in (
-            JobStatus.COMPLETED,
-            JobStatus.FAILED,
-            JobStatus.CANCELLED,
-        ):
-            return False
-        if self._cancelled:
-            self._status = JobStatus.CANCELLED
-            return False
-        if self._gen is None:
-            self._gen = self._run()
-            self._status = JobStatus.RUNNING
+    def _finish(self, status: JobStatus, error: JobFailed | None = None):
+        """Publish a terminal status with its error; the turn ends."""
+        with self.cond:
+            self._status = status
+            self.error = error
+            self._driving = False
+            self.cond.notify_all()
+
+    def _advance(self, deadline: float | None = None) -> bool:
+        """Drive one task event; False when no more will come.  Drivers
+        take turns: while another thread runs a task, wait on ``cond``
+        (until ``deadline`` at most) and return True to look again."""
+        with self.cond:
+            if self._driving:
+                self.cond.wait(
+                    None if deadline is None else deadline - time.monotonic()
+                )
+                return True
+            if self._status in TERMINAL_STATUSES:
+                return False
+            if self._status is JobStatus.PENDING:
+                self._status = JobStatus.RUNNING
+                self.cond.notify_all()
+            self._driving = True
         try:
             event = self._gen.send(None)
         except StopIteration:
-            self._status = JobStatus.COMPLETED
+            self._finish(JobStatus.COMPLETED)
             return False
         except JobFailed as exc:
-            self._status = JobStatus.FAILED
-            self._error = exc
+            self._finish(JobStatus.FAILED, exc)
             raise
         except BaseException as exc:
-            self._status = JobStatus.FAILED
-            self._error = JobFailed(
+            self._finish(JobStatus.FAILED, JobFailed(
                 f"{self.job.__class__.__name__} failed: "
                 f"{type(exc).__name__}: {exc}"
-            )
-            raise self._error from exc
-        self._events.append(event)
+            ))
+            raise self.error from exc
+        with self.cond:
+            self._events.append(event)
+            self._driving = False
+            self.cond.notify_all()
+            if self._cancelled:
+                self.cancel()  # cancelled while the task ran: stop now
         return True
 
     def stream(self):
@@ -182,21 +202,21 @@ class JobHandle:
         (buffer-replay):** every consumer sees the full event log from
         the beginning — events already delivered are replayed first,
         so late consumers, repeated consumers and a second *concurrent*
-        ``stream()`` on the same handle all observe the identical
-        complete sequence; concurrent consumers never split events
-        between them.  (Two streams of one handle interleaved from
-        different threads are not supported — the handle's consumer
-        drives the job single-threadedly.)  The stream simply ends on
-        cancellation; a failure raises :class:`JobFailed` after the
-        delivered events — for live and late consumers alike, so a
-        failed job is never mistaken for a completed one.
+        ``stream()`` on the same handle, in this thread or another, all
+        observe the identical complete sequence; concurrent consumers
+        never split events between them, and streams in different
+        threads take turns driving the job one task at a time.  The
+        stream simply ends on cancellation; a failure raises
+        :class:`JobFailed` after the delivered events — for live and
+        late consumers alike, so a failed job is never mistaken for a
+        completed one.
         """
         i = 0
         while True:
             while i >= len(self._events):
                 if not self._advance():
                     if self._status is JobStatus.FAILED:
-                        raise self._error
+                        raise self.error
                     return
             yield self._events[i]
             i += 1
@@ -209,18 +229,18 @@ class JobHandle:
         CANCELLED — inspect ``status()`` or call ``result()`` to
         distinguish), False on timeout.  The in-process handle is
         consumer-driven, so the deadline is checked between tasks: a
-        task already running is never preempted, and ``wait(0)`` on an
-        undriven job does no work at all.  The network-backed
+        task already running is never preempted, and ``wait(0)`` does no
+        work on an undriven job, nor while another thread runs one of its
+        tasks.  The network-backed
         :class:`~repro.service.client.RemoteJobHandle` has the same
         signature with the daemon driving regardless.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        while self._status in (JobStatus.PENDING, JobStatus.RUNNING):
+        while self._status not in TERMINAL_STATUSES:
             if deadline is not None and time.monotonic() >= deadline:
                 return False
             try:
-                if not self._advance():
-                    break
+                self._advance(deadline)
             except JobFailed:
                 break
         return True
@@ -242,7 +262,7 @@ class JobHandle:
                 f"to keep driving, cancel() to stop"
             )
         if self._status is JobStatus.FAILED:
-            raise self._error
+            raise self.error
         if self._status is JobStatus.CANCELLED:
             raise JobCancelled(
                 f"job cancelled after {len(self._events)} completed tasks"
@@ -250,23 +270,19 @@ class JobHandle:
         return self._result
 
     def cancel(self) -> bool:
-        """Stop the job at the next task boundary.
-
-        Finished tasks stay journaled (a resubmission resumes from
-        them); in-flight workers are reaped.  Returns False when the
-        job had already finished.
+        """Stop the job at the next task boundary, from any thread: the
+        thread running a task stops the job once it lands, and with no
+        task running the job stops here.  Finished tasks stay journaled
+        (a resubmission resumes from them); in-flight workers are
+        reaped.  Returns False when the job had already finished.
         """
-        if self._status in (
-            JobStatus.COMPLETED,
-            JobStatus.FAILED,
-            JobStatus.CANCELLED,
-        ):
-            return False
-        self._cancelled = True
-        if self._gen is not None:
-            self._gen.close()  # GeneratorExit -> the job's fleet is reaped
-            self._gen = None
-        self._status = JobStatus.CANCELLED
+        with self.cond:
+            if self._status in TERMINAL_STATUSES:
+                return False
+            self._cancelled = True
+            if not self._driving:
+                self._gen.close()  # GeneratorExit -> the job's fleet is reaped
+                self._finish(JobStatus.CANCELLED)
         return True
 
 

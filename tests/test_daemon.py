@@ -663,6 +663,49 @@ class TestDaemonLifecycle:
                 proc.kill()  # the fleet respawns it and retries the cell
         assert len(handle.result(timeout=600).reports) == 3
 
+    def test_closed_stream_leaves_no_daemon_thread(self, daemon_factory):
+        """A consumer that closes ``stream()`` on a running job hangs up
+        its read; the daemon notices at its next wait and ends the read,
+        so no connection thread waits for the job's next event."""
+        from repro import faults
+
+        standing = faults.active()  # restore any suite-wide chaos plan
+        faults.install(faults.parse_spec("task.hang:at=2"))
+        try:
+            daemon = daemon_factory("closed", n_workers=1)
+        finally:
+            faults.install(standing)
+        client = DaemonClient(socket=daemon.address)
+        handle = client.submit(CampaignJob(cells=oracle_cells(3),
+                                           n_workers=1))
+
+        def conn_threads() -> int:
+            return sum(1 for thread in threading.enumerate()
+                       if thread.name.endswith("(_serve_conn)"))
+
+        deadline = time.monotonic() + 120
+        while client.jobs()["jobs"][handle.job_id]["n_events"] < 1:
+            assert time.monotonic() < deadline, "first cell never finished"
+            time.sleep(0.05)
+        try:
+            # The polls' connection threads end once their replies are
+            # read; count after they have gone.
+            deadline = time.monotonic() + 2.0
+            while conn_threads() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            before = conn_threads()
+            stream = handle.stream()
+            assert next(stream).index == 0
+            stream.close()
+            deadline = time.monotonic() + 2.0
+            while conn_threads() > before and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert conn_threads() <= before
+        finally:
+            for proc in daemon.fleet.workers:
+                proc.kill()  # the fleet respawns it and retries the cell
+        assert len(handle.result(timeout=600).reports) == 3
+
     def test_events_refuses_a_negative_start(self, daemon_factory):
         """A negative ``start`` would slice the event log from its end
         and replay events out of order, and a ``timeout`` that is not a

@@ -41,6 +41,7 @@ from repro.service.jobs import (
     task_retry_budget,
     task_timeout_seconds,
 )
+from repro.service.protocol import ProtocolError
 
 
 def oracle_cells(n: int = 4, budget: int = 6) -> tuple:
@@ -730,6 +731,36 @@ class TestClientResilience:
         streamed = list(client.handle(handle.job_id).stream())
         faults.install(None)
         assert streamed == baseline
+
+    def test_wait_on_a_torn_reply_raises(self, daemon_factory):
+        """``wait()`` reads the job's end frame as ``result()`` does, so
+        a torn reply raises instead of reading as "finished".  The job
+        is pinned running: its one worker freezes on its second task."""
+        standing = faults.active()  # restore any suite-wide chaos plan
+        faults.install(faults.parse_spec("task.hang:at=2"))
+        try:
+            daemon = daemon_factory("torn", n_workers=1)
+        finally:
+            faults.install(standing)
+        client = DaemonClient(socket=daemon.address)
+        handle = client.submit(CampaignJob(cells=oracle_cells(3),
+                                           n_workers=1))
+        deadline = time.monotonic() + 120
+        while client.jobs()["jobs"][handle.job_id]["n_events"] < 1:
+            assert time.monotonic() < deadline, "first cell never finished"
+            time.sleep(0.05)
+        try:
+            # The daemon runs in this process: from here on the wait's
+            # request is the first frame sent, the daemon's end frame
+            # the second.
+            faults.install(faults.parse_spec("frame.truncate:at=2"))
+            with pytest.raises(ProtocolError):
+                handle.wait(timeout=0)
+        finally:
+            faults.install(standing)
+            for proc in daemon.fleet.workers:
+                proc.kill()  # the fleet respawns it and retries the cell
+        assert len(handle.result(timeout=600).reports) == 3
 
     def test_result_timeout_zero_polls_completed_job(self, daemon_factory):
         daemon = daemon_factory("poll", n_workers=1)

@@ -248,6 +248,35 @@ class TestJobLifecycle:
         assert done.cancel() is False
         assert done.status() is JobStatus.COMPLETED
 
+    def test_two_threads_drive_one_job(self):
+        """A second thread calling ``result()`` on a running in-process
+        job waits its turn and drives the job with the first: both get
+        the sequential run's reports, and the job completes."""
+        cells = tuple(oracle_cells(4, budget=96))
+        sequential = run_campaign(list(cells)).reports
+        handle = FoundryService().submit(CampaignJob(cells=cells, n_workers=1))
+        outcomes = {}
+
+        def drive(name):
+            try:
+                outcomes[name] = handle.result()
+            except Exception as exc:  # reported by the asserts below
+                outcomes[name] = exc
+
+        first = threading.Thread(target=drive, args=("first",))
+        first.start()
+        deadline = time.monotonic() + 120
+        while not handle.events():
+            assert time.monotonic() < deadline, "first cell never finished"
+            time.sleep(0.005)
+        second = threading.Thread(target=drive, args=("second",))
+        second.start()
+        first.join(timeout=120)
+        second.join(timeout=120)
+        for name in ("first", "second"):
+            assert outcomes[name].reports == sequential, outcomes[name]
+        assert handle.status() is JobStatus.COMPLETED
+
     def test_unknown_job_type_rejected(self):
         with pytest.raises(TypeError, match="unknown job type"):
             FoundryService().submit(object())
@@ -361,6 +390,35 @@ class TestJobFleetReaped:
         )
         next(iter(handle.stream()))
         assert handle.cancel() is True
+        self.assert_reaped()
+
+    def test_cancelled_from_another_thread(self):
+        """``cancel()`` from another thread while a thread drives
+        ``result()``: the driver stops the job at its next task boundary
+        and gets ``JobCancelled``, and the private fleet is reaped."""
+        handle = FoundryService().submit(
+            CampaignJob(cells=tuple(oracle_cells(12, budget=96)), n_workers=2)
+        )
+        outcome = []
+
+        def drive():
+            try:
+                outcome.append(handle.result())
+            except Exception as exc:  # reported by the asserts below
+                outcome.append(exc)
+
+        driver = threading.Thread(target=drive)
+        driver.start()
+        deadline = time.monotonic() + 120
+        while not handle.events():
+            assert time.monotonic() < deadline, "first cell never finished"
+            time.sleep(0.005)
+        assert handle.cancel() is True
+        driver.join(timeout=120)
+        assert not driver.is_alive()
+        (raised,) = outcome
+        assert isinstance(raised, JobCancelled), raised
+        assert handle.status() is JobStatus.CANCELLED
         self.assert_reaped()
 
 
