@@ -5,10 +5,9 @@ at quick-mode sizes (the fig7 sweep: 16 keys, 2048-sample records), so
 the batching speedup is tracked in the BENCH trajectory, plus the
 speedup ratios themselves as guarded regression tests: vectorized vs
 reference at 16 keys, and — wherever enough cores exist — the kernel's
-threaded key axis vs its sequential walk at a 64-key batch, its SIMD
-lane axis vs the scalar walk (single-thread, uniform-mode 64-key
-batch), and the pinned-order kernel FIR vs the per-row np.convolve
-loop it replaced.  Guards a host cannot run are exported as explicit
+threaded key axis vs its sequential walk at a 64-key batch, and its
+SIMD lane axis vs the scalar walk (single-thread, uniform-mode 64-key
+batch).  Guards a host cannot run are exported as explicit
 ``skipped`` records (see conftest).
 """
 
@@ -203,55 +202,4 @@ def test_simd_kernel_speedup_at_64_keys(benchmark, monkeypatch):
     assert speedup >= 1.5, (
         f"SIMD kernel {simd:.0f} keys/s vs scalar {scalar:.0f} keys/s "
         f"({speedup:.1f}x < 1.5x)"
-    )
-
-
-@pytest.mark.skipif(
-    not kernel_available(),
-    reason="no C compiler: FIR stages run the NumPy pinned-order transcription",
-)
-@pytest.mark.skipif(
-    usable_cpus() < 4,
-    reason="needs >= 4 usable CPUs for the threaded row axis",
-)
-def test_kernel_fir_speedup_at_16_key_matrix(benchmark, monkeypatch):
-    """The acceptance ratio: kernel FIR >= 2x per-row np.convolve.
-
-    A 16-key receiver-scale matrix through the half-band taps: the
-    kernel's threaded pinned-order convolution against the per-row
-    Python np.convolve loop the FIR stages used to carry.  The pinned
-    path is its own bit-pinned spec (C == NumPy transcription
-    everywhere, guarded in tests/test_dsp_filters_decimate.py);
-    np.convolve agrees to a few ULPs but not bitwise (BLAS dot order).
-    """
-    from repro.dsp.filters import design_halfband
-    from repro.engine.native import fir_batch_native
-
-    monkeypatch.delenv("REPRO_ENGINE_THREADS", raising=False)
-    taps = design_halfband(31)
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((16, 64 * 512))
-
-    def best(fn) -> float:
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    fir_batch_native(x, taps)  # warm the kernel
-    t_convolve = best(
-        lambda: np.stack([np.convolve(row, taps, mode="same") for row in x])
-    )
-    t_kernel = best(lambda: fir_batch_native(x, taps))
-    speedup = t_convolve / t_kernel
-    benchmark.extra_info["backend"] = "vectorized"
-    benchmark.extra_info["convolve_ms"] = round(t_convolve * 1e3, 2)
-    benchmark.extra_info["kernel_ms"] = round(t_kernel * 1e3, 2)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark(lambda: None)  # ratio computed above; keep the harness happy
-    assert speedup >= 2.0, (
-        f"kernel FIR {t_kernel * 1e3:.1f} ms vs np.convolve rows "
-        f"{t_convolve * 1e3:.1f} ms ({speedup:.1f}x < 2x)"
     )

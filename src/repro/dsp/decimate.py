@@ -25,28 +25,22 @@ below) — so a record decimates to the same bits alone or in a batch
 Pinned-order FIR
 ----------------
 
-The FIR stages used to keep ``np.convolve`` per row because its inner
-accumulation order (a BLAS dot under the hood) is implementation-
-defined, which made the scalar path itself the only spec.  That is
-exactly why it had to go: a build-dependent sum order can never be
-matched by a compiled batch kernel — or by another BLAS.  The stages
-now accumulate each 'same'-aligned output sample in an *explicitly
-pinned* ascending-tap order over the zero-padded row,
+The FIR stages (the droop compensator and the half-bands) have one
+implementation, :func:`fir_same_pinned`, a tap-outer NumPy loop over
+the whole matrix.  It accumulates each 'same'-aligned output sample in
+an *explicitly pinned* ascending-tap order over the zero-padded row,
 
     y[i] = ((0 + taps[0]*x[i+s]) + taps[1]*x[i+s-1]) + ...
 
-which two independent implementations transcribe exactly:
-:func:`fir_same_pinned` here (a tap-outer NumPy loop whose per-element
-left fold is that sum tree, usable with no compiler anywhere) and the
-threaded ``repro_fir_batch`` entry of the engine kernel
-(:func:`repro.engine.native.fir_batch_native`, used whenever the
-kernel is available).  C and NumPy are bit-identical to each other on
-every platform — a stronger exactness property than the np.convolve
-path ever had, and the per-row Python convolution loop in matrix
-sweeps is gone.  Against ``np.convolve`` itself the pinned order
-agrees to a few ULPs (guarded differentially in
-``tests/test_dsp_filters_decimate.py``), differing only where BLAS
-multi-accumulator dots reassociate.
+one elementwise multiply and one elementwise add per tap, each a
+single IEEE-754 rounding per element.  ``np.convolve`` is not used
+because its inner accumulation order (a BLAS-style dot) is
+implementation-defined: it may reassociate the sum differently on
+another NumPy build or CPU, and the receiver's output bits, which the
+reports and the pinned digests rest on, would then move with it.  The
+pinned fold's bits depend only on the data and the taps (pinned by
+sha256 in ``tests/test_dsp_filters_decimate.py``); against
+``np.convolve`` it agrees to a few ULPs (guarded there too).
 """
 
 from __future__ import annotations
@@ -113,14 +107,12 @@ class CicDecimator:
 def fir_same_pinned(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Pinned-order 'same'-aligned FIR of every row of ``x``.
 
-    The portable transcription of the kernel's ``repro_fir_batch``:
-    each output sample accumulates ``taps[0]`` first and ``taps[-1]``
+    Each output sample accumulates ``taps[0]`` first and ``taps[-1]``
     last over the zero-padded row, so the per-element sum tree is a
-    plain left fold — the tap-outer loop below performs exactly that
-    fold element-wise, making this bit-identical to the C kernel on
-    every platform (zero-padded terms included: both sides accumulate
-    them rather than skip, which keeps IEEE signed zeros identical for
-    the exactly-zero samples the fs/4 mixer produces).
+    plain left fold, which the tap-outer loop below performs element-
+    wise (module docstring).  Zero-padded and exactly-zero terms are
+    accumulated, never skipped, which keeps the IEEE signed zeros of
+    the exactly-zero samples the fs/4 mixer produces fixed too.
 
     Output is aligned and shaped like ``np.convolve(row, taps,
     "same")`` — ``(rows, max(samples, taps))`` — and matches it to a
@@ -152,22 +144,6 @@ def fir_same_pinned(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fir_rows(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Pinned-order FIR rows via the kernel when available.
-
-    Kernel and transcription are bit-identical, so this dispatch is
-    pure throughput policy.  Imported lazily: the engine package
-    imports the receiver stack, which imports this module.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2 and x.shape[0] > 0 and x.shape[1] > 0:
-        from repro.engine import native
-
-        if native.kernel_available():
-            return native.fir_batch_native(x, taps)
-    return fir_same_pinned(x, taps)
-
-
 @dataclass
 class FirDecimator:
     """Direct-form FIR filter followed by subsampling, through the
@@ -189,20 +165,17 @@ class FirDecimator:
         """Filter every row of a ``(keys, samples)`` matrix, then keep
         every ``rate``-th sample ('same' alignment).
 
-        One pinned-order batch convolution covers every key (threaded
-        in the kernel path).
+        One pinned-order batch convolution covers every key.
         """
         x = np.asarray(samples)
         if x.ndim != 2:
             raise ValueError(f"expected a (keys, samples) matrix, got shape {x.shape}")
         if np.iscomplexobj(x):
-            y = self._filter(x.real) + 1j * self._filter(x.imag)
+            y = (fir_same_pinned(x.real, self.taps)
+                 + 1j * fir_same_pinned(x.imag, self.taps))
         else:
-            y = self._filter(x)
+            y = fir_same_pinned(x, self.taps)
         return y[:, :: self.rate]
-
-    def _filter(self, x: np.ndarray) -> np.ndarray:
-        return _fir_rows(x, self.taps)
 
 
 @dataclass

@@ -6,9 +6,8 @@ uses a CIC first stage, a CIC droop-compensation FIR, and half-band
 stages, all designed here from first principles (windowed-sinc), with a
 frequency-response evaluator for verification.
 
-Designed taps are *applied* through the pinned-order FIR path in
-:mod:`repro.dsp.decimate` (C kernel and NumPy transcription,
-bit-identical to each other), not through ``np.convolve``.
+Designed taps are *applied* through the pinned-order FIR of
+:mod:`repro.dsp.decimate`, not through ``np.convolve``.
 """
 
 from __future__ import annotations

@@ -87,7 +87,6 @@
 
 #include <math.h>
 #include <stdlib.h>
-#include <string.h>
 
 #ifdef REPRO_USE_PTHREADS
 #include <pthread.h>
@@ -640,150 +639,6 @@ void repro_simulate_batch_finish(void *handle)
 #endif
     free(run->packs);
     free(run);
-}
-
-/* ---------------------------------------------------------------------
- * Pinned-order batch FIR ('same' alignment, ascending-tap summation).
- *
- * Each output sample accumulates taps[0] first, taps[m-1] last, over a
- * zero-padded input row:
- *
- *     y[i] = (((0 + t0*x[i+s]) + t1*x[i+s-1]) + ...) + t_{m-1}*x[i+s-m+1]
- *
- * with s chosen so y aligns with np.convolve(x, taps, mode="same").
- * The loop nest below runs taps outermost and output samples
- * innermost, so the per-output summation TREE is exactly that pinned
- * left fold — the compiler may vectorise ACROSS output samples freely
- * (each output's chain is untouched), but can never reassociate within
- * one (and -ffp-contract=off forbids FMA fusion).  The pure-NumPy
- * transcription in repro/dsp/decimate.py performs the identical padded
- * gather and the identical tap-outer accumulation, so C and fallback
- * are bit-identical everywhere (guarded in
- * tests/test_dsp_filters_decimate.py).  Rows are independent, so the
- * row loop threads exactly like the integrator's key axis.
- * ------------------------------------------------------------------- */
-
-struct fir_task {
-    int n_rows, n_in, n_taps, out_n, pad_start;
-    const double *const *rows;
-    const double *taps;
-    double *const *out;
-#ifdef REPRO_USE_PTHREADS
-    atomic_int next_row;
-#endif
-};
-
-static void fir_row(const struct fir_task *t, int r, double *pad)
-{
-    const int n = t->n_in, m = t->n_taps, out_n = t->out_n;
-    const int s0 = t->pad_start + m - 1;
-    const size_t pad_len = (size_t)out_n + s0;
-    memset(pad, 0, sizeof(double) * pad_len);
-    memcpy(pad + m - 1, t->rows[r], sizeof(double) * n);
-    /* restrict: out and the scratch pad never alias, which is what
-     * lets the compiler vectorise the accumulation across outputs. */
-    double *restrict out = t->out[r];
-    /* Output blocks sized so block + sliding input window live in L1
-     * across all m tap passes; within a block, taps ascend, so every
-     * out[i]'s fold is the pinned order regardless of blocking. */
-    const int BLOCK = 1024;
-    for (int b = 0; b < out_n; b += BLOCK) {
-        const int e = (b + BLOCK < out_n) ? b + BLOCK : out_n;
-        for (int i = b; i < e; i++)
-            out[i] = 0.0;
-        for (int k = 0; k < m; k++) {
-            const double tap = t->taps[k];
-            const double *restrict src = pad + s0 - k;
-            for (int i = b; i < e; i++)
-                out[i] += tap * src[i];
-        }
-    }
-}
-
-static void fir_rows_range(struct fir_task *t, double *pad, int from, int to)
-{
-    for (int r = from; r < to; r++)
-        fir_row(t, r, pad);
-}
-
-#ifdef REPRO_USE_PTHREADS
-static void *fir_worker(void *arg)
-{
-    struct fir_task *t = arg;
-    double *pad = malloc(sizeof(double) * ((size_t)t->out_n
-                                           + t->pad_start + t->n_taps - 1));
-    if (pad == NULL)
-        return (void *)0;  /* leave the rows to other workers/the caller */
-    for (;;) {
-        int r = atomic_fetch_add_explicit(&t->next_row, 1,
-                                          memory_order_relaxed);
-        if (r >= t->n_rows)
-            break;
-        fir_row(t, r, pad);
-    }
-    free(pad);
-    return (void *)0;
-}
-#endif
-
-int repro_fir_batch(
-    int n_rows, int n_in, const double *const *rows,
-    int n_taps, const double *taps,
-    double *const *out, int n_threads)
-{
-    if (n_rows <= 0)
-        return 0;
-    if (n_in <= 0 || n_taps <= 0)
-        return -1;
-    struct fir_task task;
-    task.n_rows = n_rows;
-    task.n_in = n_in;
-    task.n_taps = n_taps;
-    task.out_n = n_in > n_taps ? n_in : n_taps;
-    task.pad_start = ((n_in < n_taps ? n_in : n_taps) - 1) / 2;
-    task.rows = rows;
-    task.taps = taps;
-    task.out = out;
-    const size_t pad_len = (size_t)task.out_n + task.pad_start + n_taps - 1;
-#ifdef REPRO_USE_PTHREADS
-    n_threads = team_size(n_threads, n_rows);
-    if (n_threads > 1) {
-        pthread_t helpers[REPRO_MAX_THREADS - 1];
-        int n_helpers = n_threads - 1;
-        int spawned = 0;
-        atomic_init(&task.next_row, 0);
-        for (int i = 0; i < n_helpers; i++) {
-            if (pthread_create(&helpers[spawned], 0, fir_worker, &task))
-                break;
-            spawned++;
-        }
-        fir_worker(&task);
-        for (int i = 0; i < spawned; i++)
-            pthread_join(helpers[i], 0);
-        /* A worker that failed to allocate scratch simply pulled no
-         * rows; anything left over is finished here, sequentially. */
-        int done = atomic_load_explicit(&task.next_row,
-                                        memory_order_relaxed);
-        if (done < n_rows) {
-            double *pad = malloc(sizeof(double) * pad_len);
-            if (pad == NULL)
-                return -1;
-            fir_rows_range(&task, pad, done, n_rows);
-            free(pad);
-        }
-        return 0;
-    }
-#else
-    (void)n_threads;
-#endif
-    {
-        double *pad = malloc(sizeof(double) * pad_len);
-        if (pad == NULL)
-            return -1;
-        fir_rows_range(&task, pad, 0, n_rows);
-        free(pad);
-    }
-    return 0;
 }
 
 /* ABI sanity hook for the loader. */

@@ -60,7 +60,7 @@ is untouched and no state is shared, so the thread count cannot change
 any result — 1-vs-N-thread runs are bit-identical (guarded in
 ``tests/test_engine.py``).
 
-A batch runs as a *start/finish pair*; it is the only entry point.
+A batch runs as a *start/finish pair*, the kernel's one entry point.
 ``repro_simulate_batch_start`` (:class:`NativeRun`) plans the packs,
 spawns the team's helpers and returns a handle at once, so the calling
 thread can do other work — the fleet calibrator decodes and plans one
@@ -118,10 +118,6 @@ bit-identical (guarded in ``tests/test_engine.py``).
 lets the kernel detect the widest supported lanes (AVX-class hosts get
 4, baseline x86-64 gets 2), ``0`` or ``1`` forces the scalar walk (the
 CI force-off leg), ``2``/``4`` force a width.  Anything else raises.
-
-The pinned-order batch FIR (``repro_fir_batch``) shares the cache,
-clamped worker-team model and exactness contract; see
-:func:`fir_batch_native` and :mod:`repro.dsp.decimate`.
 """
 
 from __future__ import annotations
@@ -238,12 +234,6 @@ def _build_one(flags: tuple[str, ...]) -> ctypes.CDLL | None:
     lib.repro_simulate_batch_start.restype = ctypes.c_void_p
     lib.repro_simulate_batch_finish.argtypes = [ctypes.c_void_p]
     lib.repro_simulate_batch_finish.restype = None
-    lib.repro_fir_batch.argtypes = [
-        ctypes.c_int, ctypes.c_int, _TABLE,
-        ctypes.c_int, _DOUBLE_P,
-        _TABLE, ctypes.c_int,
-    ]
-    lib.repro_fir_batch.restype = ctypes.c_int
     return lib
 
 
@@ -279,10 +269,7 @@ def kernel_threaded() -> bool:
     """Whether the loaded kernel was built with a threaded key axis."""
     if not kernel_available():
         return False
-    try:
-        return bool(_lib.repro_kernel_threaded())
-    except AttributeError:  # pre-threading library (stale hash collision)
-        return False
+    return bool(_lib.repro_kernel_threaded())
 
 
 def usable_cpus() -> int:
@@ -454,14 +441,11 @@ def kernel_simd_width() -> int:
     """
     if not kernel_available():
         return 0
-    try:
-        return int(_lib.repro_kernel_simd_width())
-    except AttributeError:  # pragma: no cover - stale pre-SIMD library
-        return 0
+    return int(_lib.repro_kernel_simd_width())
 
 
 def kernel_max_threads() -> int:
-    """Hard bound on the kernel's per-call worker team (incl. caller).
+    """Hard bound on the kernel's per-batch worker team (incl. caller).
 
     ``n_threads`` requests above this are clamped up front inside the
     kernel — the fixed-size helper array can never overflow and no
@@ -469,10 +453,7 @@ def kernel_max_threads() -> int:
     """
     if not kernel_available():
         return 1
-    try:
-        return int(_lib.repro_kernel_max_threads())
-    except AttributeError:  # pragma: no cover - stale library
-        return 1
+    return int(_lib.repro_kernel_max_threads())
 
 
 def _pointer_table(arrays: Sequence[np.ndarray], length: int) -> array.array:
@@ -576,45 +557,3 @@ class NativeRun:
             )
             for plan, output, bits, tank_v in zip(self._plans, *self._outs)
         ]
-
-
-def fir_batch_native(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Pinned-order batch FIR over a ``(rows, samples)`` matrix.
-
-    Runs ``repro_fir_batch``: 'same'-aligned convolution of every row
-    with ``taps``, accumulated in explicitly ascending tap order over
-    the zero-padded row, rows threaded like the integrator's key axis
-    (thread count from ``REPRO_ENGINE_THREADS``, clamped to the
-    64-helper team bound).  The accumulation order is the whole point:
-    it makes the result platform-pinned and bit-identical to the
-    pure-NumPy transcription in :func:`repro.dsp.decimate.fir_same_pinned`,
-    where ``np.convolve``'s BLAS dot ordering is build-dependent.
-    Output shape is ``(rows, max(samples, taps))`` — ``np.convolve``'s
-    'same' semantics when the taps outnumber the samples.
-    """
-    if not kernel_available():
-        raise RuntimeError("compiled kernel unavailable on this machine")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected a (rows, samples) matrix, got {x.shape}")
-    taps = np.ascontiguousarray(taps, dtype=np.float64)
-    if taps.ndim != 1 or taps.size == 0:
-        raise ValueError("taps must be a non-empty 1-D array")
-    n_rows, n_in = x.shape
-    out_n = max(n_in, taps.size)
-    if n_rows == 0:
-        return np.empty((0, out_n))
-    if n_in == 0:
-        raise ValueError("samples cannot be empty")  # as np.convolve
-    x = np.ascontiguousarray(x)
-    out = np.empty((n_rows, out_n))
-    rows = _pointer_table(list(x), n_in)
-    out_rows = _pointer_table(list(out), out_n)
-    rc = _lib.repro_fir_batch(
-        n_rows, n_in, rows.buffer_info()[0],
-        taps.size, taps.ctypes.data_as(_DOUBLE_P),
-        out_rows.buffer_info()[0], kernel_threads(),
-    )
-    if rc != 0:  # pragma: no cover - scratch allocation failure
-        raise MemoryError("repro_fir_batch could not allocate scratch")
-    return out

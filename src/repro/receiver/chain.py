@@ -18,8 +18,8 @@ batch in one pass (the engine's ``run_receiver`` routes batched
 requests through it), and :meth:`DigitalChain.process` on one record is
 its one-row case.  A key's result does not depend on the rest of its
 batch (guarded in ``tests/test_receiver_chain.py``).  The FIR stages
-inside run the pinned-order batch convolution (C kernel with a
-bit-identical NumPy fallback — see :mod:`repro.dsp.decimate`).
+inside run the pinned-order batch convolution of
+:mod:`repro.dsp.decimate`.
 """
 
 from __future__ import annotations

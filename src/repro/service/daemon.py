@@ -56,14 +56,14 @@ Architecture
 * **Durable by default.**  Campaign jobs journal into
   ``<root>/jobs/<job_id>/journal`` unless they pin their own; SIGTERM
   stops admission, cancels in-flight jobs at the next task boundary
-  (their finished cells are already journaled) *without* marking them
-  terminal — their event streams end with ``"resumable": true`` — and
-  a daemon restarted on the same root re-admits exactly those jobs:
-  they resume from their journals bit-identically.  The daemon leaves
-  nothing in the shared store for a successor to clear: calibrations
-  enter it through ``CalibrationStore.put``, which takes no lock, so a
-  killed daemon's half-finished calibration costs the next one only
-  its recompute.
+  (their finished cells are already journaled) and leaves queued jobs
+  unstarted, marking none of them terminal — their event streams end
+  with ``"resumable": true`` — and a daemon restarted on the same root
+  re-admits exactly those jobs: they resume from their journals
+  bit-identically.  The daemon leaves nothing in the shared store for
+  a successor to clear: calibrations enter it through
+  ``CalibrationStore.put``, which takes no lock, so a killed daemon's
+  half-finished calibration costs the next one only its recompute.
 
 The wire
 ========
@@ -363,8 +363,9 @@ class FoundryDaemon:
         """Blocking CLI entry point with signal-driven drain: SIGTERM
         (and SIGINT) stops admission, cancels in-flight jobs at the
         next task boundary — their finished cells are already
-        journaled, and they are *not* marked terminal, so a restart on
-        the same root resumes them — and exits."""
+        journaled — and leaves queued jobs unstarted; none is marked
+        terminal, so a restart on the same root resumes them all.
+        Then it exits."""
         import signal
 
         def _on_signal(signum, frame):
@@ -381,23 +382,25 @@ class FoundryDaemon:
     def stop(self, drain_cancel: bool = False) -> None:
         """Tear the daemon down.
 
-        With ``drain_cancel`` (the SIGTERM path) in-flight jobs are
-        cancelled at the next task boundary and left *resumable* (no
-        terminal marker); without it the caller is expected to have
-        drained already (or accepts killing the fleet under running
-        jobs — their journals stay consistent either way).
+        With ``drain_cancel`` (the SIGTERM path) every live job is
+        cancelled — a running one at the next task boundary — and left
+        *resumable* (no terminal marker): a queued job stays unstarted
+        for the restart, since a runner that ends admits only PENDING
+        jobs.  Without it the caller is expected to have drained
+        already (or accepts killing the fleet under running jobs —
+        their journals stay consistent either way).
         """
         if not self._started:
             return
         self._shutdown_requested.set()
         with self._lock:
             self._draining = True
-            active = [
-                djob for djob in self._jobs.values() if djob.admitted
-            ]
+            if drain_cancel:
+                # Under the lock, so no runner that ends meanwhile
+                # admits a queued job before it is cancelled.
+                for job_id in list(self._jobs):
+                    self.cancel_job(job_id, drain=True)
         if drain_cancel:
-            for djob in active:
-                self.cancel_job(djob.job_id, drain=True)
             with self._state_cond:
                 self._state_cond.wait_for(
                     lambda: self._active == 0, timeout=60.0

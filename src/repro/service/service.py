@@ -109,7 +109,7 @@ def plan_campaign_tasks(todo, store, n_workers: int):
 def plan_cell_partitions(todo):
     """Partition plans for the ``(index, cell)`` pairs whose attack
     adapter declares one (``{cell index: plan}``; empty when every cell
-    runs scalar).  Built fresh per scheduling round — plans are
+    runs scalar).  Built fresh for each run of a job — plans are
     stateful, parent-side objects the scheduler drives."""
     from repro.campaigns.campaign import cell_partition
 
@@ -399,18 +399,22 @@ class FoundryService:
         )
         # A single scalar cell gains nothing from workers — but a single
         # *partitioned* cell is exactly the dominant-cell case sub-task
-        # scheduling exists for, so it still shards.
-        if self._runs_inline() and (
-            n_workers == 1
-            or (len(todo) <= 1 and not plan_cell_partitions(todo))
-        ):
+        # scheduling exists for, so it still shards.  One worker runs
+        # inline without plans; otherwise they are built once, here.
+        inline = self._runs_inline() and n_workers == 1
+        if not inline:
+            partitions = plan_cell_partitions(todo)
+            inline = self._runs_inline() and len(todo) <= 1 and not partitions
+        if inline:
             n_workers = 1
             events = self._run_tasks(
                 self._task_context(job.backend, store_path), 1,
                 [CellTask(index, cell) for index, cell in todo],
             )
         else:
-            events = self._campaign_sharded(job, todo, n_workers, store_path)
+            events = self._campaign_sharded(
+                job, todo, n_workers, store_path, partitions
+            )
         # Journal each finished cell the moment its result lands.
         for task, payload, seconds in events:
             if isinstance(task, ProvisionTask):
@@ -430,10 +434,12 @@ class FoundryService:
             backend=resolved_backend,
         )
 
-    def _campaign_sharded(self, job, todo, n_workers, store_path):
+    def _campaign_sharded(self, job, todo, n_workers, store_path,
+                          partitions):
         """Fleet execution: provisioning sub-lots gate their cells, and
-        partitioned cells fan out as sub-tasks.  A job naming no store
-        shares a temporary one, removed when the job ends."""
+        the cells ``partitions`` plans (:func:`plan_cell_partitions`)
+        fan out as sub-tasks.  A job naming no store shares a temporary
+        one, removed when the job ends."""
         own_tmp = store_path is None
         if own_tmp:
             store_path = tempfile.mkdtemp(prefix="repro-calstore-")
@@ -441,7 +447,6 @@ class FoundryService:
             cell_tasks, provision_tasks, cell_triples = plan_campaign_tasks(
                 todo, CalibrationStore(store_path), n_workers
             )
-            partitions = plan_cell_partitions(todo)
             # Partitioned jobs hold more units than results, so size the
             # fleet by the requested width rather than the result count.
             n_units = len(cell_tasks) + len(provision_tasks)

@@ -977,10 +977,10 @@ class TestDaemonTCP:
 
 @pytest.mark.slow
 class TestDrainRestart:
-    def _serve(self, root, socket_path, env):
+    def _serve(self, root, socket_path, env, options=("--workers", "2")):
         return subprocess.Popen(
             [sys.executable, "-m", "repro.service", "serve",
-             "--root", str(root), "--socket", socket_path, "--workers", "2"],
+             "--root", str(root), "--socket", socket_path, *options],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             cwd=REPO_ROOT,
@@ -1065,6 +1065,65 @@ class TestDrainRestart:
                 uninterrupted.reports
             )
             # Graceful drain shuts the daemon down cleanly.
+            assert client.drain(timeout=60) is True
+        finally:
+            proc.wait(timeout=60)
+            proc.stdout.close()
+        assert proc.returncode == 0
+
+    def test_sigterm_leaves_queued_jobs_queued(self, tmp_path):
+        """SIGTERM drain-cancels queued jobs too, so none starts while
+        the daemon stops: a job's runner that ends admits the next job
+        only if it is still PENDING.
+
+        The first life runs one worker under ``task.hang:at=2`` and
+        admits one job at a time, so the running job's second cell
+        freezes until the watchdog reclaims it: the SIGTERM always
+        lands while that job runs and the other waits in the queue.  A
+        daemon restarted on the same root finishes both, bit-identical
+        to in-process runs."""
+        from repro.service.journal import JobJournal
+
+        cell_lists = (oracle_cells(3, budget=24), oracle_cells(2, budget=12))
+        jobs = [CampaignJob(cells=cells, n_workers=1) for cells in cell_lists]
+        expected = [FoundryService().submit(job).result() for job in jobs]
+        root = tmp_path / "qroot"
+        socket_path = short_socket()
+        env = dict(os.environ)
+        inherited = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = "src" + (os.pathsep + inherited if inherited else "")
+        client = DaemonClient(socket=socket_path)
+
+        first_env = dict(env, REPRO_FAULTS="task.hang:at=2",
+                         REPRO_TASK_TIMEOUT="8")
+        proc = self._serve(root, socket_path, first_env,
+                           ("--workers", "1", "--max-active", "1"))
+        try:
+            self._wait_listening(client, proc)
+            running, queued = (client.submit(job) for job in jobs)
+            assert queued.status() is JobStatus.PENDING
+            stream = running.stream()
+            assert next(stream).index == 0  # the second cell now hangs
+            stream.close()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        queued_dir = root / "jobs" / queued.job_id
+        assert not (queued_dir / "terminal.json").exists()
+        assert JobJournal(queued_dir / "journal").completed_cells(2) == {}
+
+        proc = self._serve(root, socket_path, env)
+        try:
+            self._wait_listening(client, proc)
+            for job, want in zip(jobs, expected):
+                result = client.submit(job).result(timeout=600)
+                assert report_bytes(result.reports) == report_bytes(
+                    want.reports
+                )
             assert client.drain(timeout=60) is True
         finally:
             proc.wait(timeout=60)

@@ -699,7 +699,7 @@ class TestKernelSimd:
 )
 class TestPointerTables:
     """The kernel's record tables check each distinct array before its
-    address goes to C, and the batch FIR takes any row layout."""
+    address goes to C."""
 
     def test_malformed_record_refused(self, chip):
         from repro.engine.native import NativeRun
@@ -722,19 +722,6 @@ class TestPointerTables:
         )
         with pytest.raises(ValueError, match="kernel records"):
             NativeRun([plan, other_grid], overlap=True)
-
-    def test_fir_strided_rows_match_transcription(self):
-        from repro.dsp import design_halfband
-        from repro.dsp.decimate import fir_same_pinned
-        from repro.engine.native import fir_batch_native
-
-        taps = design_halfband(31)
-        x = np.random.default_rng(4).standard_normal((4, 256))
-        for layout in (x[:, ::2], np.asfortranarray(x)):
-            assert not layout.flags.c_contiguous
-            assert np.array_equal(
-                fir_batch_native(layout, taps), fir_same_pinned(layout, taps)
-            )
 
 
 def _threaded_child_checksums(requests):

@@ -138,6 +138,30 @@ class TestPartitionPlans:
         fresh = plan.absorb(parts[1][0], (low(parts[1][1]), None))
         assert [pid[:2] for pid, _ in fresh] == [("gen", 1), ("gen", 1)]
 
+    def test_a_campaign_run_builds_its_plans_once(self, monkeypatch):
+        """The inline-or-fleet decision and the fleet run share one set
+        of plans (each plan builds its attack), and a one-worker job,
+        which runs inline, builds none."""
+        import repro.campaigns.campaign as campaign
+
+        builds = []
+
+        def counted(cell):
+            builds.append(cell)
+            return cell_partition(cell)
+
+        monkeypatch.setattr(campaign, "cell_partition", counted)
+        cells = (bf_cell(budget=8, subtask_keys=4),)
+        expected = None
+        for n_workers, n_builds in ((1, 0), (2, 1)):
+            builds.clear()
+            result = FoundryService().submit(
+                CampaignJob(cells=cells, n_workers=n_workers)
+            ).result()
+            assert len(builds) == n_builds
+            expected = expected or report_bytes(result.reports)
+            assert report_bytes(result.reports) == expected
+
 
 # ---------------------------------------------------------------------------
 # The scripted oracle (sequential replay)
