@@ -56,7 +56,7 @@ class Vglna:
         samples: np.ndarray,
         code: int,
         bandwidth: float,
-        rng: np.random.Generator,
+        noise: np.ndarray,
     ) -> np.ndarray:
         """Amplify ``samples`` through the five clipping stages.
 
@@ -65,14 +65,19 @@ class Vglna:
             code: 4-bit gain code.
             bandwidth: Noise integration bandwidth of the sampled
                 representation (half the sample rate), Hz.
-            rng: Noise generator.
+            noise: Standard-normal record, same shape as ``samples``.
+                The input-referred noise is ``0.0 + sigma * noise``,
+                NumPy's own arithmetic for ``normal(0.0, sigma)``, so
+                passing ``rng.standard_normal(samples.shape)`` gives
+                bit for bit ``rng.normal(0.0, sigma, samples.shape)``
+                (see :mod:`repro.engine.plan`).
 
         Returns:
             Output voltage waveform, same shape as ``samples``.
         """
         d = self.design
         sigma = self.input_noise_density(code) * np.sqrt(bandwidth)
-        x = samples + rng.normal(0.0, sigma, samples.shape)
+        x = samples + (0.0 + sigma * noise)
         for gain in self.stage_gains(code):
             # Soft clip per stage: linear for small signals, saturating
             # to +/- v_clip — a resistive-feedback inverter's transfer.

@@ -111,34 +111,51 @@ into one kernel submission.
 Cache semantics
 ---------------
 
-The engine owns two bounded LRU caches (:class:`~repro.engine.cache.
-BoundedCache`), replacing the old unbounded module-global calibration
-cache: calibration results keyed by ``(lot_seed, chip_id,
-standard_index)``, and per-chip ZOH tank discretisations keyed by
-``(cc, cf, h)`` (held on the
-:class:`~repro.receiver.receiver.Chip`, since they are chip state like
-its block set).  Two further run-scoped memos share the sampled RF
-stimulus waveform and the drawn measurement records (the Gmin's
-soft-limiting shape of the VGLNA output, and the noise/dither draws —
-pure functions of chip, stimulus, time grid, seed and the two
-input-path config fields) across the keys of one batch; a session
-driver may carry the latter across submissions via ``run_multi(...,
-noise_cache=)``, as the fleet calibrator does.  Plans reference those
-shared records rather than copying them: a key's only own input-path
-value is its Gmin current scale ``gm_vlin``, and each backend forms
-the input current ``gm_vlin * shape + i_noise`` itself (Gmin-off keys
-carry ``0.0`` and one process-wide zeros record), so the per-key
-hand-off scales with the distinct records, not with keys times record
-length — bit for bit, by the argument in :mod:`repro.engine.plan`.  One
-level up, an in-process job run keeps a ``measurement_memo`` of
-finished modulator-SNR measurements, keyed by die content, key,
-standard, power, record length, seed and substeps (see
-:func:`~repro.receiver.performance.measure_modulator_snr_batch`), and
-attaches it to the default engine around each of its tasks only
-(:meth:`~repro.service.scheduler.TaskContext.applied`).  All of these
-are deterministic value caches — hitting them cannot change any result.
-``clear_caches()`` (engine method and module-level hook for the default
-engine) empties the persistent ones for tests and long-running sweeps.
+Every cache below is a deterministic value cache: hitting one cannot
+change any result.  Each has its key and its scope:
+
+* **Calibration results**: an engine-owned bounded LRU
+  (:class:`~repro.engine.cache.BoundedCache`, replacing the old
+  unbounded module-global cache), keyed by ``(lot_seed, chip_id,
+  standard_index)``.  A cross-process store may stand behind it
+  (below).
+* **Standard noise draws**: process-wide, a four-entry LRU of
+  read-only arrays in :mod:`repro.engine.plan`, keyed by ``(seed,
+  n_samples, substeps)``.  It holds the standard normals and uniforms
+  behind every plan's noise records, drawn once per process in the
+  generator's stream order, and the two comparator records formed from
+  them, which are the same for every die.  Beside it, one read-only
+  zeros record per length serves as every Gmin-off shape and every
+  dither-off dither.
+* **Tank discretisations**: per chip, ZOH discretisations keyed by
+  ``(cc, cf, h)``, a bounded LRU held on the
+  :class:`~repro.receiver.receiver.Chip`, since they are chip state
+  like its block set.
+* **Per-die measurement records**: per submission, or per session
+  when a driver passes ``run_multi(..., noise_cache=)``, as the fleet
+  calibrator does.  An entry holds the Gmin's soft-limiting shape of
+  the VGLNA output, the scaled tank current noise and the dither,
+  keyed by block set, stimulus, time grid, seed, ``lna_gain`` and
+  ``dither_en``; a miss scales the standard draws, it does not draw.
+* **Sampled RF stimulus**: per submission, keyed by ``(stimulus, fs,
+  n_samples, substeps)``.
+* **Finished measurements**: per in-process job run, a
+  ``measurement_memo`` of modulator-SNR measurements keyed by die
+  content, key, standard, power, record length, seed and substeps (see
+  :func:`~repro.receiver.performance.measure_modulator_snr_batch`),
+  attached to the default engine around each of the run's tasks only
+  (:meth:`~repro.service.scheduler.TaskContext.applied`).
+
+Plans reference the shared records rather than copying them: a key's
+only own input-path value is its Gmin current scale ``gm_vlin``, and
+each backend forms the input current ``gm_vlin * shape + i_noise``
+itself (Gmin-off keys carry ``0.0`` and the zeros record), so the
+per-key hand-off scales with the distinct records, not with keys times
+record length; :mod:`repro.engine.plan` says why the records are bit
+for bit the generator's and why the backends then form ``i_in`` bit
+for bit.  ``clear_caches()`` (engine method and module-level hook for
+the default engine) empties the calibration LRU and the standard
+draws, for tests and long-running sweeps.
 
 Behind the in-memory LRU an engine may attach a cross-process
 :class:`~repro.engine.store.CalibrationStore` — a directory of

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.engine import native
 from repro.engine.cache import BoundedCache
-from repro.engine.plan import build_plan
+from repro.engine.plan import _standard_draws, build_plan
 from repro.engine.store import CalibrationStore
 from repro.engine.reference import simulate_plan
 from repro.engine.request import ModulatorRequest, ReceiverRequest
@@ -346,8 +346,10 @@ class SimulationEngine:
 
     def clear_caches(self) -> None:
         """Test hook: drop cached calibrations (the attached store's
-        entries included) and reset statistics."""
+        entries included) and the process-wide standard noise draws of
+        :mod:`repro.engine.plan`, and reset statistics."""
         self.calibration_cache.clear()
+        _standard_draws.cache_clear()
         if self.calibration_store is not None:
             self.calibration_store.clear()
         self.stats = EngineStats()

@@ -43,6 +43,38 @@ would not do: ``0.0 * shape`` is ``-0.0`` wherever the shape is
 negative, and ``-0.0 + -0.0`` keeps a sign that ``+0.0 + -0.0``
 drops.)  ``tests/test_engine.py`` pins the outputs' bytes on both
 backends.
+
+The measurement-noise records
+-----------------------------
+
+A plan's five noise streams — the VGLNA input noise, the tank current
+noise, the two comparator streams and the dither — come from one
+generator seeded with the request's seed, drawn in that order:
+``normal(0.0, s, N)`` twice (``N = n_samples * substeps``, ``s`` each
+stream's die- and gain-dependent sigma), ``normal(0.0, 1.0,
+n_samples)`` twice, then ``uniform(-1.0, 1.0, n_samples)`` when the
+dither is on.  NumPy's ``Generator`` computes ``normal(loc, scale)``
+as ``loc + scale * standard_normal`` and ``uniform(low, high)`` as
+``low + (high - low) * next_double``, and each consumes the stream
+exactly as ``standard_normal`` and ``random`` do, one draw per
+element.  So the standard draws depend on ``(seed, n_samples,
+substeps)`` alone: :func:`_standard_draws` draws them once per process
+in that order (the uniforms last, so whether the dither is on cannot
+move an earlier stream) and keeps a few in a small LRU of read-only
+arrays, and each record is formed with NumPy's own arithmetic — ``0.0
++ sigma * z`` for ``normal(0.0, sigma)`` and ``-1.0 + 2.0 * u`` for
+``uniform(-1.0, 1.0)``, the same IEEE multiply and add per element.
+The ``0.0 +`` is not decoration: with ``sigma = 0.0`` the product is
+``-0.0`` wherever ``z`` is negative, and the add turns it into the
+``+0.0`` that ``normal`` returns.  The die, the stimulus, ``lna_gain``
+and ``dither_en`` enter only as scale factors, so the comparator
+records (``sigma = 1.0`` for every die) are formed once beside the
+draws and shared by every plan of that triple, and a dither-off plan
+references the shared zeros record of :func:`_zeros`.  The draws are a
+pure function of their key, so hitting the LRU cannot change a
+result; ``tests/test_engine.py`` checks the formed records byte for
+byte against the generator's own calls, for whatever NumPy is
+installed.
 """
 
 from __future__ import annotations
@@ -61,12 +93,40 @@ from repro.receiver.sdm import ModulatorBlocks
 
 @lru_cache(maxsize=8)
 def _zeros(n: int) -> np.ndarray:
-    """The Gmin-off plans' shape record: ``n`` zeros, read-only and
-    shared process-wide.  It lives outside every session noise cache,
-    whose entries are all per die."""
+    """The Gmin-off plans' shape record and the dither-off plans'
+    dither record: ``n`` zeros, read-only and shared process-wide.  It
+    lives outside every session noise cache, whose entries are all per
+    die."""
     zeros = np.zeros(n)
     zeros.flags.writeable = False
     return zeros
+
+
+@lru_cache(maxsize=4)
+def _standard_draws(
+    seed: int, n_samples: int, substeps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One seed's standard noise draws, read-only and shared
+    process-wide: the VGLNA-input and tank-current standard normals
+    (``n_samples * substeps`` each), the two comparator records
+    (``0.0 + 1.0 * z``, already formed: they are the same for every
+    die) and the dither's ``-1.0 + 2.0 * u`` (``n_samples`` each),
+    drawn in the plan's stream order.  The module docstring says why
+    forming each record from these is bit for bit the generator's
+    ``normal``/``uniform``.  Four entries keep a registry run's repeat
+    draws; ``SimulationEngine.clear_caches`` empties it."""
+    rng = np.random.default_rng(seed)
+    n_sub = n_samples * substeps
+    draws = (
+        rng.standard_normal(n_sub),
+        rng.standard_normal(n_sub),
+        0.0 + 1.0 * rng.standard_normal(n_samples),
+        0.0 + 1.0 * rng.standard_normal(n_samples),
+        -1.0 + 2.0 * rng.random(n_samples),
+    )
+    for record in draws:
+        record.flags.writeable = False
+    return draws
 
 
 def discretise_tank(
@@ -87,7 +147,9 @@ class KeyPlan:
     records (the tank input current's factors, noise, dither), the
     discretised tank update, the loop-topology mode flags, and the
     per-key block constants.  The records are shared between the plans
-    of one noise-cache entry and are read-only.  A plan is
+    of one noise-cache entry (the comparator records and the zeros
+    records between every plan of a seed and time grid) and are
+    read-only.  A plan is
     backend-agnostic; backends must not draw randomness or evaluate
     chip models — only integrate.
     """
@@ -156,24 +218,29 @@ def build_plan(
             deterministic, so caching cannot change results.
         noise_cache: Optional memo for the record tuple
             ``(gmin_shape, i_noise, comp_noise, comp_noise_out,
-            dither)`` — the drawn records, with the VGLNA output kept
+            dither)`` — the per-die records, with the VGLNA output kept
             only as the Gmin shape ``tanh(v_lna / vlin)``, its one
             consumer — keyed by everything those records depend on:
             the chip's block set, the stimulus/time grid, the
             measurement seed and the two configuration fields that
-            enter the input path (``lna_gain``; ``dither_en`` gates a
-            draw).  Sweeps measure many keys under one seed and one
-            stimulus — a calibration probe set, a key sweep, a fleet
-            round — and for all of them these records are *the same
-            values*: the RNG stream is a
-            pure function of the seed, and the cached entry is computed
-            by this very code path on its first request, so a hit
-            reuses bitwise-identical arrays (backends treat plan
-            records as read-only).  Sharing cannot change results, it
-            only removes redundant draws, VGLNA evaluations and Gmin
-            shapes.  Plans reference the cached records; the module
-            docstring says why the backends then form each key's
-            ``i_in`` bit for bit.
+            enter the input path (``lna_gain`` scales the VGLNA noise;
+            ``dither_en`` picks the dither record).  Sweeps measure
+            many keys under one seed and one stimulus — a calibration
+            probe set, a key sweep, a fleet round — and for all of
+            them these records are *the same values*: the cached entry
+            is computed by this very code path on its first request,
+            so a hit reuses bitwise-identical arrays (backends treat
+            plan records as read-only).  Sharing cannot change
+            results, it only removes redundant VGLNA evaluations, Gmin
+            shapes and noise scalings.  A miss draws nothing when the
+            process already holds the seed's standard draws
+            (:func:`_standard_draws`, keyed by ``(seed, n_samples,
+            substeps)`` alone); the comparator records and the
+            dither-off zeros in an entry are those process-wide
+            records themselves, shared by every die.  Plans reference
+            the cached records; the module docstring says why the
+            records are bit for bit the generator's and why the
+            backends then form each key's ``i_in`` bit for bit.
     """
     config = request.config
     n_samples = request.n_samples
@@ -213,7 +280,9 @@ def build_plan(
     if cached is not None and cached[0] is blocks:
         _, gmin_shape, i_noise, comp_noise, comp_noise_out, dither = cached
     else:
-        rng = np.random.default_rng(request.seed)
+        z_lna, z_tank, comp_noise, comp_noise_out, uniform = _standard_draws(
+            request.seed, n_samples, substeps
+        )
         # Input path, fully vectorised: RF tones -> VGLNA.
         stim_key = (request.stimulus, fs, n_samples, substeps)
         if stim_cache is not None and stim_key in stim_cache:
@@ -224,18 +293,16 @@ def build_plan(
             if stim_cache is not None:
                 stim_cache[stim_key] = v_rf
         v_lna = blocks.vglna.process(
-            v_rf, config.lna_gain, bandwidth=0.5 / h, rng=rng
+            v_rf, config.lna_gain, bandwidth=0.5 / h, noise=z_lna
         )
         gmin_shape = blocks.gmin.limiting_shape(v_lna)
         # Tank current noise, piecewise constant per substep.
         sigma_i = blocks.tank_current_noise * math.sqrt(0.5 / h)
-        i_noise = rng.normal(0.0, sigma_i, v_lna.shape)
-        comp_noise = rng.normal(0.0, 1.0, n_samples)
-        comp_noise_out = rng.normal(0.0, 1.0, n_samples)
+        i_noise = 0.0 + sigma_i * z_tank
         dither = (
-            blocks.dither_amplitude * rng.uniform(-1.0, 1.0, n_samples)
+            blocks.dither_amplitude * uniform
             if config.dither_en
-            else np.zeros(n_samples)
+            else _zeros(n_samples)
         )
         if noise_cache is not None:
             noise_cache[noise_key] = (

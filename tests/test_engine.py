@@ -29,6 +29,7 @@ from repro.engine import (
     kernel_threads,
     set_default_backend,
 )
+from repro.engine.plan import _standard_draws, _zeros, build_plan
 from repro.receiver import (
     Chip,
     ConfigWord,
@@ -202,6 +203,92 @@ class TestPinnedOutputs:
             for r in results
         )
         assert digests == PINNED_DIGESTS
+
+
+class TestStandardDraws:
+    """Plans form their noise records from process-wide standard draws.
+
+    That rests on one NumPy fact: ``normal(0.0, s)`` is ``0.0 + s *
+    standard_normal`` and ``uniform(-1.0, 1.0)`` is ``-1.0 + 2.0 *
+    random``, each consuming the stream draw for draw.  The first guard
+    pins it for the installed NumPy against the generator's own calls,
+    in the plan's stream order, from the signed-zero corner (scale
+    0.0) to huge products; the second pins that a session's plans
+    share one draw."""
+
+    SEEDS = (0, 7, 8, 2020)
+    GRIDS = ((256, 4), (1024, 4), (4096, 4))
+    SCALES = (0.0, 1e-9, 1.0, 1e300)
+
+    @pytest.mark.parametrize("dither_en", [0, 1])
+    def test_records_match_generator_calls(self, chip, dither_en):
+        config = ConfigWord(lna_gain=7, dither_en=dither_en)
+        for scale in self.SCALES:
+            blocks = dataclasses.replace(
+                chip.blocks, tank_current_noise=scale, dither_amplitude=scale
+            )
+            for seed in self.SEEDS:
+                for n_samples, substeps in self.GRIDS:
+                    plan = build_plan(blocks, ModulatorRequest(
+                        config=config, stimulus=_stim(), fs=STD.fs,
+                        n_samples=n_samples, seed=seed, substeps=substeps,
+                    ))
+                    z_lna = _standard_draws(seed, n_samples, substeps)[0]
+                    n_sub = n_samples * substeps
+                    bandwidth = 0.5 / (1.0 / (STD.fs * substeps))
+                    sigma_i = scale * np.sqrt(bandwidth)
+                    rng = np.random.default_rng(seed)
+                    pairs = [
+                        # A plan keeps only the Gmin shape the VGLNA
+                        # noise drives: its record is checked as
+                        # Vglna.process forms it.
+                        (0.0 + scale * z_lna, rng.normal(0.0, scale, n_sub)),
+                        (plan.i_noise, rng.normal(0.0, sigma_i, n_sub)),
+                        (plan.comp_noise, rng.normal(0.0, 1.0, n_samples)),
+                        (plan.comp_noise_out, rng.normal(0.0, 1.0, n_samples)),
+                        (
+                            plan.dither,
+                            scale * rng.uniform(-1.0, 1.0, n_samples)
+                            if dither_en
+                            else np.zeros(n_samples),
+                        ),
+                    ]
+                    for formed, drawn in pairs:
+                        assert formed.tobytes() == drawn.tobytes()
+
+    def test_session_plans_share_one_draw(self, monkeypatch):
+        from repro.engine import engine as engine_module
+        from repro.process import ChipFactory
+
+        plans = []
+
+        def recording_build_plan(*args, **kwargs):
+            plans.append(build_plan(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(engine_module, "build_plan", recording_build_plan)
+        fab = ChipFactory(lot_seed=2020)
+        dies = [Chip(variations=fab.draw(die)) for die in range(2)]
+        engine = SimulationEngine()
+        engine.clear_caches()
+        dither_off = []
+        for chip in dies:
+            for lna_gain in (3, 7, 12):
+                for dither_en in (0, 1):
+                    config = ConfigWord(lna_gain=lna_gain, dither_en=dither_en)
+                    engine.run(chip, [ModulatorRequest(
+                        config=config, stimulus=_stim(), fs=STD.fs,
+                        n_samples=N, seed=3,
+                    )])
+                    dither_off.append(not dither_en)
+        assert len(plans) == 12
+        assert _standard_draws.cache_info().misses == 1
+        for plan, off in zip(plans, dither_off):
+            assert plan.comp_noise is plans[0].comp_noise
+            assert plan.comp_noise_out is plans[0].comp_noise_out
+            assert (plan.dither is _zeros(N)) == off
+        engine.clear_caches()
+        assert _standard_draws.cache_info().currsize == 0
 
 
 class TestBatching:
